@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 oracle or runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -89,13 +88,7 @@ def cmd_matfun(args) -> int:
     config = ex.ExperimentConfig(spec, source, args.case,
                                  tuple(args.reps.split(",")),
                                  args.m_max, not args.no_oracle)
-    try:
-        rows = ex.run_experiment(config)
-    except MarktopError:
-        raise
-    except Exception as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    rows = ex.run_experiment(config)
     ex.write_rows(args.output, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK

@@ -11,31 +11,20 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import matfun as mf
 from . import tlalgebra as tl
-from .approx import apriori_bound, build_geometry, optimal_nodes, stopping_threshold
-from .errors import BoundInvalid, DimensionError, MarktopError
-from .interp import fit_interpolant
-from .markov import MarkovSpec, worst_case_spec
+from .approx import build_geometry
+from .errors import DimensionError
+from .markov import MarkovSpec
 
 CSV_HEADER = ["case", "rep", "m", "rel_err", "apriori", "residual",
               "accepted", "tau", "wall_ms"]
 ORACLE_MAX_N = 1024
-
-
-def max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MARKTOP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
@@ -132,42 +121,31 @@ def _build_arg(config: ExperimentConfig):
     return mf.tl_arg(config.source.matrix(), c0, d0), dense
 
 
+def _row(case: str, rep: str, rec: mf.DegreeRecord) -> ExperimentRow:
+    """CSV row of a sweep record whose measured value is (rel_err, tau)."""
+    rel_err, tau = (math.nan, 0) if rec.value is None else rec.value
+    apr = math.nan if rec.apriori is None else rec.apriori
+    return ExperimentRow(case, rep, rec.m, rel_err, apr, rec.residual,
+                         rec.accepted, tau, rec.wall_ms)
+
+
 def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
                   oracle_norm) -> list[ExperimentRow]:
     spec = config.spec
     g = build_geometry(spec.alpha, spec.beta, arg.c, arg.d)
-    nu = worst_case_spec(spec.alpha, spec.beta)
-    rows = []
-    for m in range(1, config.m_max + 1):
-        t0 = time.perf_counter()
-        try:
-            thr = stopping_threshold(g, m)
-            apr = apriori_bound(g, m)
-        except BoundInvalid:
-            thr, apr = math.inf, math.nan
-        try:
-            nodes = optimal_nodes(g, m)
-            r_mu = fit_interpolant(spec, nodes, rep, interval=(spec.alpha, spec.beta))
-            r_nu = fit_interpolant(nu, nodes, rep, interval=(spec.alpha, spec.beta))
-            approx = mf.eval_rational_at_matrix(r_mu, arg)
-            resid = mf.residual_sqrt(arg, r_nu, g)
-        except MarktopError:
-            # numerically degenerate fit past convergence: emit a rejected row
-            rows.append(ExperimentRow(config.case, rep, m, math.nan, apr,
-                                      math.inf, False, 0,
-                                      (time.perf_counter() - t0) * 1000.0))
-            continue
-        accepted = resid < thr
+
+    def measure(r):
+        """(relative error against the oracle, generator width) of r(A)."""
+        approx = mf.eval_rational_at_matrix(r, arg)
+        rel_err = math.nan
         if oracle is not None:
             rel_err = float(np.linalg.norm(mf.mat_to_dense(approx) - oracle, 2)
                             / oracle_norm)
-        else:
-            rel_err = math.nan
-        tau = approx.data.width if arg.kind == "tl" else 0
-        wall = (time.perf_counter() - t0) * 1000.0
-        rows.append(ExperimentRow(config.case, rep, m, rel_err, apr, resid,
-                                  accepted, tau, wall))
-    return rows
+        return rel_err, approx.data.width if arg.kind == "tl" else 0
+
+    return [_row(config.case, rep, rec)
+            for rec in mf.degree_sweep(spec, arg, g, rep,
+                                       range(1, config.m_max + 1), measure)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -177,16 +155,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         oracle_norm = float(np.linalg.norm(oracle, 2))
     else:
         oracle, oracle_norm = None, math.nan
-    workers = max_workers()
-    if workers > 1 and len(config.reps) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda rep: _rows_for_rep(config, rep, arg, oracle, oracle_norm),
-                config.reps))
-    else:
-        chunks = [_rows_for_rep(config, rep, arg, oracle, oracle_norm)
-                  for rep in config.reps]
-    return [row for chunk in chunks for row in chunk]
+    return [row for rep in config.reps
+            for row in _rows_for_rep(config, rep, arg, oracle, oracle_norm)]
 
 
 def write_rows(path, rows):
@@ -202,30 +172,12 @@ def scalar_scan(spec: MarkovSpec, c: float, d: float, m_range, reps,
     """Scalar relative errors over cosine points, one row per (rep, m)."""
     grid = cosine_points(grid_size, c, d)
     g = build_geometry(spec.alpha, spec.beta, c, d)
-    nu = worst_case_spec(spec.alpha, spec.beta)
     arg = mf.diag_arg(grid, c, d)
     fz = np.asarray(spec(grid), dtype=float)
-    rows = []
-    for rep in reps:
-        for m in m_range:
-            t0 = time.perf_counter()
-            try:
-                thr = stopping_threshold(g, m)
-                apr = apriori_bound(g, m)
-            except BoundInvalid:
-                thr, apr = math.inf, math.nan
-            try:
-                nodes = optimal_nodes(g, m)
-                r_mu = fit_interpolant(spec, nodes, rep, interval=(spec.alpha, spec.beta))
-                r_nu = fit_interpolant(nu, nodes, rep, interval=(spec.alpha, spec.beta))
-                err = float(np.max(np.abs(1.0 - np.asarray(r_mu(grid)) / fz)))
-                resid = mf.residual_sqrt(arg, r_nu, g)
-            except MarktopError:
-                rows.append(ExperimentRow("scalar", rep, m, math.nan, apr,
-                                          math.inf, False, 0,
-                                          (time.perf_counter() - t0) * 1000.0))
-                continue
-            wall = (time.perf_counter() - t0) * 1000.0
-            rows.append(ExperimentRow("scalar", rep, m, err, apr, resid,
-                                      resid < thr, 0, wall))
-    return rows
+
+    def measure(r):
+        return float(np.max(np.abs(1.0 - np.asarray(r(grid)) / fz))), 0
+
+    return [_row("scalar", rep, rec)
+            for rep in reps
+            for rec in mf.degree_sweep(spec, arg, g, rep, m_range, measure)]

@@ -10,14 +10,17 @@ and squaring drivers for the logarithm and fractional powers.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tlalgebra as tl
-from .approx import (Geometry, NodeSet, apriori_bound, blaschke_eta,
-                     build_geometry, optimal_nodes, stopping_threshold)
+from .approx import (Geometry, apriori_bound, blaschke_eta, build_geometry,
+                     optimal_nodes, stopping_threshold)
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
                      MarktopError, NoConvergence, PoleCollision)
 from .interp import PartialFraction, RationalInterpolant, ThieleCF, fit_interpolant
@@ -31,7 +34,7 @@ class MatArg:
     """Matrix argument with spectral bounds c <= lambda_min, lambda_max <= d.
 
     kind is "dense" (symmetric ndarray), "tl" (TLMatrix) or "diagonal"
-    (1-D array of eigenvalues).
+    (1-D array of eigenvalues); ``ops`` holds that kind's arithmetic.
     """
 
     kind: str
@@ -40,16 +43,18 @@ class MatArg:
     d: float
 
     def __post_init__(self):
-        if self.kind not in ("dense", "tl", "diagonal"):
+        if self.kind not in _OPS:
             raise DimensionError(f"unknown MatArg kind {self.kind!r}")
         if not (0 < self.c <= self.d):
             raise DimensionError(f"need 0 < c <= d, got [{self.c}, {self.d}]")
 
     @property
+    def ops(self) -> Ops:
+        return _OPS[self.kind]
+
+    @property
     def n(self) -> int:
-        if self.kind == "tl":
-            return self.data.n
-        return len(self.data)
+        return self.ops.n(self.data)
 
 
 def dense_arg(a, c: float, d: float) -> MatArg:
@@ -65,71 +70,56 @@ def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
 
 
 # ---------------------------------------------------------------------------
-# Small dispatch layer over the three argument kinds
+# Arithmetic of each argument kind
 # ---------------------------------------------------------------------------
 
-def _identity(a: MatArg):
-    if a.kind == "dense":
-        return np.eye(a.n)
-    if a.kind == "tl":
-        return tl.identity_tl(a.n)
-    return np.ones(a.n)
+class Ops(NamedTuple):
+    """The matrix operations the drivers need, on one kind's data."""
+
+    n: Callable         # x -> size
+    identity: Callable  # n -> I
+    shift: Callable     # (x, z) -> x - z I
+    scale: Callable     # (x, alpha) -> alpha x
+    add: Callable       # (x, y) -> x + y
+    mul: Callable       # (x, y) -> x y
+    inv: Callable       # x -> x^{-1}
+    norm: Callable      # x -> ||x||_2 (an estimate for tl)
+    to_dense: Callable  # x -> ndarray
 
 
-def _wrap(a: MatArg, data) -> MatArg:
-    return MatArg(a.kind, data, a.c, a.d)
-
-
-def _shift(a: MatArg, data, z: float):
-    if a.kind == "dense":
-        return data - z * np.eye(a.n)
-    if a.kind == "tl":
-        return tl.shift(data, z)
-    return data - z
-
-
-def _scale(a: MatArg, data, alpha: float):
-    if a.kind == "tl":
-        return tl.scale(data, alpha)
-    return alpha * data
-
-
-def _add(a: MatArg, x, y):
-    if a.kind == "tl":
-        return tl.compress(tl.add(x, y))
-    return x + y
-
-
-def _mul(a: MatArg, x, y):
-    if a.kind == "dense":
-        return x @ y
-    if a.kind == "tl":
-        return tl.multiply(x, y)
-    return x * y
-
-
-def _inv(a: MatArg, x):
-    if a.kind == "dense":
-        return np.linalg.inv(x)
-    if a.kind == "tl":
-        return tl.invert(x)
-    return 1.0 / x
-
-
-def _norm(a: MatArg, x) -> float:
-    if a.kind == "dense":
-        return float(np.linalg.norm(x, 2))
-    if a.kind == "tl":
-        return tl.norm_est(x)
-    return float(np.max(np.abs(x)))
+# the tl entries look tlalgebra's functions up at call time, so wrappers
+# installed on the module after import take effect
+_OPS = {
+    "dense": Ops(n=len, identity=np.eye,
+                 shift=lambda x, z: x - z * np.eye(len(x)),
+                 scale=lambda x, alpha: alpha * x,
+                 add=lambda x, y: x + y,
+                 mul=lambda x, y: x @ y,
+                 inv=np.linalg.inv,
+                 norm=lambda x: float(np.linalg.norm(x, 2)),
+                 to_dense=lambda x: x),
+    "tl": Ops(n=lambda x: x.n,
+              identity=lambda n: tl.identity_tl(n),
+              shift=lambda x, z: tl.shift(x, z),
+              scale=lambda x, alpha: tl.scale(x, alpha),
+              add=lambda x, y: tl.compress(tl.add(x, y)),
+              mul=lambda x, y: tl.multiply(x, y),
+              inv=lambda x: tl.invert(x),
+              norm=lambda x: tl.norm_est(x),
+              to_dense=lambda x: tl.to_dense(x)),
+    "diagonal": Ops(n=len, identity=np.ones,
+                    shift=lambda x, z: x - z,
+                    scale=lambda x, alpha: alpha * x,
+                    add=lambda x, y: x + y,
+                    mul=lambda x, y: x * y,
+                    inv=lambda x: 1.0 / x,
+                    norm=lambda x: float(np.max(np.abs(x))),
+                    to_dense=np.diag),
+}
 
 
 def mat_to_dense(a: MatArg) -> np.ndarray:
-    if a.kind == "dense":
-        return a.data
-    if a.kind == "tl":
-        return tl.to_dense(a.data)
-    return np.diag(a.data)
+    return a.ops.to_dense(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -147,40 +137,46 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
     if a.kind == "diagonal":
-        return _wrap(a, np.asarray(rep(a.data), dtype=float))
+        return replace(a, data=np.asarray(rep(a.data), dtype=float))
+    ops = a.ops
     if isinstance(rep, PartialFraction):
-        acc = None
-        for x, res in zip(rep.poles, rep.residuals):
-            term = _scale(a, _inv(a, _shift(a, a.data, x)), res)
-            acc = term if acc is None else _add(a, acc, term)
-        return _wrap(a, acc)
+        terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
+                 for x, res in zip(rep.poles, rep.residuals))
+        return replace(a, data=functools.reduce(ops.add, terms))
+    ident = ops.identity(a.n)
     if isinstance(rep, ThieleCF):
         p, zt = rep.params, rep.nodes
-        out = _scale(a, _identity(a), p[-1])
+        out = ops.scale(ident, p[-1])
         for j in range(len(p) - 2, -1, -1):
-            out = _add(a, _scale(a, _identity(a), p[j]),
-                       _mul(a, _shift(a, a.data, zt[j]), _inv(a, out)))
+            out = ops.add(ops.scale(ident, p[j]),
+                          ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)))
         if rep.reciprocal:
-            out = _inv(a, out)
-        return _wrap(a, out)
+            out = ops.inv(out)
+        return replace(a, data=out)
     # barycentric: accumulate prod_{k != j} (A - t_k I) via prefix/suffix
     t = rep.support
     mlen = len(t)
-    prefix = [_identity(a)]
+    prefix = [ident]
     for k in range(mlen - 1):
-        prefix.append(_mul(a, prefix[-1], _shift(a, a.data, t[k])))
-    suffix = [_identity(a)]
+        prefix.append(ops.mul(prefix[-1], ops.shift(a.data, t[k])))
+    suffix = [ident]
     for k in range(mlen - 1, 0, -1):
-        suffix.append(_mul(a, _shift(a, a.data, t[k]), suffix[-1]))
+        suffix.append(ops.mul(ops.shift(a.data, t[k]), suffix[-1]))
     suffix.reverse()
     num = den = None
     for j in range(mlen):
-        pj = _mul(a, prefix[j], suffix[j])
-        nj = _scale(a, pj, rep.values[j] * rep.weights[j])
-        dj = _scale(a, pj, rep.weights[j])
-        num = nj if num is None else _add(a, num, nj)
-        den = dj if den is None else _add(a, den, dj)
-    return _wrap(a, _mul(a, num, _inv(a, den)))
+        pj = ops.mul(prefix[j], suffix[j])
+        nj = ops.scale(pj, rep.values[j] * rep.weights[j])
+        dj = ops.scale(pj, rep.weights[j])
+        num = nj if num is None else ops.add(num, nj)
+        den = dj if den is None else ops.add(den, dj)
+    return replace(a, data=ops.mul(num, ops.inv(den)))
+
+
+def _deviation(a: MatArg, x) -> float:
+    """|| I - x ||."""
+    ops = a.ops
+    return ops.norm(ops.add(ops.identity(a.n), ops.scale(x, -1.0)))
 
 
 def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
@@ -196,15 +192,14 @@ def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
         else:
             resid = 1.0 - rv * (lam - alpha) * (lam - beta) * rv / abs(alpha)
         return float(np.max(np.abs(resid)))
+    ops = a.ops
     e = eval_rational_at_matrix(r_nu, a)
     if math.isinf(alpha):
-        w = _shift(a, a.data, beta)
+        w = ops.shift(a.data, beta)
     else:
-        w = _scale(a, _mul(a, _shift(a, a.data, alpha), _shift(a, a.data, beta)),
-                   1.0 / abs(alpha))
-    prod = _mul(a, e.data, _mul(a, w, e.data))
-    resid = _add(a, _identity(a), _scale(a, prod, -1.0))
-    return _norm(a, resid)
+        w = ops.scale(ops.mul(ops.shift(a.data, alpha), ops.shift(a.data, beta)),
+                      1.0 / abs(alpha))
+    return _deviation(a, ops.mul(e.data, ops.mul(w, e.data)))
 
 
 _ETA_APOST_MAX = (math.sqrt(2.0) - 1.0) ** 2
@@ -225,14 +220,52 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
     em = eval_rational_at_matrix(r_m, a)
     emp = eval_rational_at_matrix(r_mp, a)
-    quot = _mul(a, em.data, _inv(a, emp.data))
-    dev = _add(a, _identity(a), _scale(a, quot, -1.0))
-    return (1.0 + delta) / (1.0 - delta) * _norm(a, dev)
+    quot = a.ops.mul(em.data, a.ops.inv(emp.data))
+    return (1.0 + delta) / (1.0 - delta) * _deviation(a, quot)
 
 
 # ---------------------------------------------------------------------------
-# Automatic degree selection
+# Degree sweep and automatic degree selection
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DegreeRecord:
+    m: int
+    residual: float       # inf when the fit or evaluation degenerates
+    threshold: float      # inf when the a priori bound is not yet valid
+    apriori: float | None
+    accepted: bool
+    value: object         # what measure(r_mu) returned, None on failure
+    wall_ms: float
+
+
+def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
+                 measure):
+    """For each m in ms fit r_m of spec and of the worst-case function at
+    the quasi-optimal nodes, apply measure to r_m and certify it with the
+    worst-case residual on a; yield one DegreeRecord per degree."""
+    nu = worst_case_spec(g.alpha, g.beta)
+    interval = (g.alpha, g.beta)
+    for m in ms:
+        t0 = time.perf_counter()
+        try:
+            thr = stopping_threshold(g, m)
+            apr = apriori_bound(g, m)
+        except BoundInvalid:
+            thr, apr = math.inf, None
+        try:
+            nodes = optimal_nodes(g, m)
+            r_mu = fit_interpolant(spec, nodes, rep, interval=interval)
+            r_nu = fit_interpolant(nu, nodes, rep, interval=interval)
+            value = measure(r_mu)
+            resid = residual_sqrt(a, r_nu, g)
+        except MarktopError:
+            # fit or evaluation degenerates once the error reaches the
+            # rounding floor; the degree is rejected
+            resid, value = math.inf, None
+        yield DegreeRecord(m, resid, thr, apr, resid < thr, value,
+                           (time.perf_counter() - t0) * 1000.0)
+
 
 @dataclass(frozen=True)
 class MatFunResult:
@@ -249,37 +282,18 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
     """Increase m while the worst-case residual stays below five times the
     a priori bound; return the last accepted degree (stop one before the
     first violation)."""
-    nu = worst_case_spec(g.alpha, g.beta)
-    interval = (g.alpha, g.beta)
     history = []
     prev = None
-    for m in range(1, m_max + 1):
-        try:
-            thr = stopping_threshold(g, m)
-            apr = apriori_bound(g, m)
-        except BoundInvalid:
-            thr = math.inf
-            apr = None
-        try:
-            nodes = optimal_nodes(g, m)
-            r_mu = fit_interpolant(spec, nodes, rep, interval=interval)
-            r_nu = fit_interpolant(nu, nodes, rep, interval=interval)
-            approx = eval_rational_at_matrix(r_mu, a)
-            resid = residual_sqrt(a, r_nu, g)
-        except MarktopError:
-            # fit or evaluation degenerates once the error reaches the
-            # rounding floor; treat as a rejected index and stop
-            resid = math.inf
-            approx = None
-        accepted = resid < thr
-        history.append((m, resid, apr, accepted))
-        if not accepted:
+    for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1),
+                            lambda r: eval_rational_at_matrix(r, a)):
+        history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
+        if not rec.accepted:
             if prev is None:
-                raise DegreeUnavailable(
-                    f"residual {resid:.3g} >= threshold {thr:.3g} already at m=1")
-            return MatFunResult(prev[1], prev[0], tuple(history), rep)
-        prev = (m, approx)
-    return MatFunResult(prev[1], prev[0], tuple(history), rep, not_triggered=True)
+                raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
+                                        f"{rec.threshold:.3g} already at m=1")
+            return MatFunResult(prev.value, prev.m, tuple(history), rep)
+        prev = rec
+    return MatFunResult(prev.value, prev.m, tuple(history), rep, not_triggered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +325,8 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
         tol = 10.0 * b.n * _EPS * (d / c)
     mu = 1.0 / (c * d) ** 0.25
     mu_next = math.sqrt(2.0 * (c * d) ** 0.25 / (math.sqrt(c) + math.sqrt(d)))
+    ops = b.ops
+    ident = ops.identity(b.n)
     x = b.data
     m = b.data
     phase = 1
@@ -325,20 +341,19 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
             phase2_start = k
             mu = 1.0
         mus.append(mu)
-        minv = _inv(b, m)
-        m = _add(b, _scale(b, _identity(b), 0.5),
-                 _add(b, _scale(b, m, mu * mu / 4.0),
-                      _scale(b, minv, 1.0 / (4.0 * mu * mu))))
-        x = _mul(b, _add(b, _identity(b), _scale(b, minv, 1.0 / (mu * mu))),
-                 _scale(b, x, mu / 2.0))
-        res = _norm(b, _add(b, _identity(b), _scale(b, m, -1.0)))
+        minv = ops.inv(m)
+        m = ops.add(ops.scale(ident, 0.5),
+                    ops.add(ops.scale(m, mu * mu / 4.0),
+                            ops.scale(minv, 1.0 / (4.0 * mu * mu))))
+        x = ops.mul(ops.add(ident, ops.scale(minv, 1.0 / (mu * mu))),
+                    ops.scale(x, mu / 2.0))
+        res = _deviation(b, m)
         residuals.append(res)
         if phase == 2:
             phase2_steps += 1
         if res <= tol or (phase == 2 and phase2_steps >= _PHASE2_BUDGET):
-            sq_c, sq_d = math.sqrt(c), math.sqrt(d)
-            return SqrtResult(MatArg(b.kind, x, sq_c, sq_d), tuple(residuals),
-                              tuple(mus), phase2_start)
+            return SqrtResult(replace(b, data=x, c=math.sqrt(c), d=math.sqrt(d)),
+                              tuple(residuals), tuple(mus), phase2_start)
         if phase == 1:
             mu = mu_next
             mu_next = math.sqrt(2.0 * mu / (1.0 + mu * mu))
@@ -364,6 +379,14 @@ def _contract(a: MatArg, ell: int) -> MatArg:
     return out
 
 
+def _times_power(ops: Ops, out, x, k: int):
+    """out x^k by repeated products, with one inverse when k < 0."""
+    base = x if k >= 0 else ops.inv(x)
+    for _ in range(abs(k)):
+        out = ops.mul(out, base)
+    return out
+
+
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
     """log(A) = 2^ell log(A^(1/2^ell)) with the inner log through the
     Markov function log(z)/(z-1): log(B) = (B - I) r_m(B)."""
@@ -372,9 +395,10 @@ def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResul
     spec = log_spec()
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
     inner = auto_degree(spec, a_ell, g, rep, m_max)
-    out = _scale(a, _mul(a, _shift(a, a_ell.data, 1.0), inner.approximation.data),
-                 float(2 ** ell))
-    approx = MatArg(a.kind, out, inner.approximation.c, inner.approximation.d)
+    ops = a.ops
+    out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0), inner.approximation.data),
+                    float(2 ** ell))
+    approx = replace(inner.approximation, data=out)
     return MatFunResult(approx, inner.m, inner.history, rep,
                         inner.not_triggered, scaling=(ell, 0, None))
 
@@ -384,8 +408,9 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     """A^gamma by inverse scaling and squaring: write 2^ell gamma = k + g'
     with k integer and g' in [-1, 0), then A^gamma = r(A_ell) A_ell^k where
     r approximates z^g' and A_ell = A^(1/2^ell)."""
+    ops = a.ops
     if gamma == 0.0:
-        ident = MatArg(a.kind, _identity(a), 1.0, 1.0)
+        ident = replace(a, data=ops.identity(a.n), c=1.0, d=1.0)
         return MatFunResult(ident, 0, (), rep, scaling=(0, 0, 0.0))
     ell = _choice_ell(a.c, a.d)
     gp_total = 2 ** ell * gamma
@@ -395,25 +420,15 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
         k = int(gp_total)
-        out = _identity(a)
-        base = a_ell.data if k > 0 else _inv(a, a_ell.data)
-        for _ in range(abs(k)):
-            out = _mul(a, out, base)
-        return MatFunResult(MatArg(a.kind, out, lo, hi), 0, (), rep,
+        out = _times_power(ops, ops.identity(a.n), a_ell.data, k)
+        return MatFunResult(replace(a, data=out, c=lo, d=hi), 0, (), rep,
                             scaling=(ell, k, 0.0))
     k = math.floor(gp_total) + 1
     gp = gp_total - k
     spec = power_spec(gp)
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
     inner = auto_degree(spec, a_ell, g, rep, m_max)
-    out = inner.approximation.data
-    if k > 0:
-        for _ in range(k):
-            out = _mul(a, out, a_ell.data)
-    elif k < 0:
-        a_inv = _inv(a, a_ell.data)
-        for _ in range(-k):
-            out = _mul(a, out, a_inv)
-    approx = MatArg(a.kind, out, lo, hi)
+    out = _times_power(ops, inner.approximation.data, a_ell.data, k)
+    approx = replace(a, data=out, c=lo, d=hi)
     return MatFunResult(approx, inner.m, inner.history, rep,
                         inner.not_triggered, scaling=(ell, k, gp))

@@ -17,7 +17,7 @@ recursion without ever forming dense n x n arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -149,8 +149,6 @@ def from_toeplitz(col, row=None) -> TLMatrix:
 
 
 def identity_tl(n: int) -> TLMatrix:
-    e = np.zeros(n)
-    e[0] = 1.0
     return from_toeplitz(np.concatenate([[1.0], np.zeros(n - 1)]))
 
 
@@ -292,23 +290,24 @@ def invert(a: TLMatrix) -> TLMatrix:
 
     compressed afterwards.
     """
-    n = a.n
+    n, r = a.n, a.width
+    # stack the right-hand sides: without exact Toeplitz data every solve
+    # call densifies and factors the matrix anew
     if a.symmetric:
+        x = solve(a, np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
-        g = -np.roll(solve(a, a.B), 1, axis=0)
-        b = np.roll(solve(a, a.G), -1, axis=0)
+        g = -np.roll(x[:, :r], 1, axis=0)
+        b = np.roll(x[:, r:], -1, axis=0)
         b[-1] = -b[-1]
         return compress(TLMatrix(n, g, b, symmetric=True))
-    e1 = np.zeros(n)
+    e1 = np.zeros((n, 1))
     e1[0] = 1.0
-    en = np.zeros(n)
+    en = np.zeros((n, 1))
     en[-1] = 1.0
-    xg = solve(a, a.G)
-    xb = solve_t(a, a.B)
-    xe1 = solve(a, e1)
-    xen = solve_t(a, en)
-    g = np.column_stack([-xg, e1, 2.0 * xe1])
-    b = np.column_stack([xb, 2.0 * xen, en])
+    x = solve(a, np.hstack([a.G, e1]))
+    xt = solve_t(a, np.hstack([a.B, en]))
+    g = np.hstack([-x[:, :r], e1, 2.0 * x[:, r:]])
+    b = np.hstack([xt[:, :r], 2.0 * xt[:, r:], en])
     return compress(TLMatrix(n, g, b))
 
 

@@ -95,10 +95,14 @@ def test_optimal_nodes_trigonometric_limit():
     assert u == pytest.approx(want, rel=1e-7)
 
 
-@pytest.mark.parametrize("ratio", [4.0, 1e2, 1e5])
-@pytest.mark.parametrize("m", [1, 2, 5, 10])
-def test_eta_beats_pade_rates(ratio, m):
-    g = build_geometry(-INF, 0.0, 1.0, ratio)
+# (alpha, beta) = (-inf, 0) keeps the ids "m-ratio"; finite pairs add a suffix
+@pytest.mark.parametrize("m,ratio,alpha,beta", [
+    pytest.param(m, ratio, alpha, beta, id=f"{m}-{ratio}{suffix}")
+    for alpha, beta, suffix in [(-INF, 0.0, ""), (-1.0, 0.0, "-a-1-b0"),
+                                (-100.0, -1.0, "-a-100-b-1")]
+    for ratio in [4.0, 1e2, 1e5] for m in [1, 2, 5, 10]])
+def test_eta_beats_pade_rates(m, ratio, alpha, beta):
+    g = build_geometry(alpha, beta, 1.0, ratio)
     eta = blaschke_eta(g, optimal_nodes(g, m))
     assert eta <= g.lam ** (2 * m) + 1e-12
     assert eta <= 2.0 * g.rho ** (2 * m) + 1e-12

@@ -13,6 +13,8 @@ from marktop import (BoundInvalid, DegreeUnavailable, MatArg, PartialFraction,
                      from_toeplitz, inv_sqrt_spec, log_via_scaling,
                      optimal_nodes, residual_sqrt, sqrt_db_newton, tl_arg,
                      worst_case_spec)
+from marktop.experiments import (ExperimentConfig, dense_f_oracle,
+                                 gen_random_spd_toeplitz, run_experiment)
 from marktop.matfun import mat_to_dense
 from marktop.tlalgebra import to_dense
 
@@ -177,6 +179,31 @@ def test_auto_degree_unavailable_with_lying_bounds():
     a = diag_arg([150.0, 200.0], c=0.5, d=1.0)
     with pytest.raises(DegreeUnavailable):
         auto_degree(inv_sqrt_spec(), a, g, m_max=5)
+
+
+def test_run_experiment_rows_match_auto_degree():
+    # spectrum [1, 1e12]: 2 rho^2 >= 1, so m = 1 has no a priori bound
+    tin = gen_random_spd_toeplitz(24, 1.0, 1e12, 5)
+    spec = inv_sqrt_spec()
+    config = ExperimentConfig(spec, tin, "iii", m_max=6)
+    rows = run_experiment(config)
+    dense = scipy.linalg.toeplitz(tin.col, tin.row)
+    eigs = np.linalg.eigvalsh(dense)
+    a = dense_arg(dense, eigs[0], eigs[-1])
+    g = build_geometry(-INF, 0.0, a.c, a.d)
+    oracle = dense_f_oracle(spec, dense)
+    for rep in config.reps:
+        res = auto_degree(spec, a, g, rep, config.m_max)
+        rep_rows = [row for row in rows if row.rep == rep]
+        assert res.history[0][2] is None
+        for (m, resid, apr, accepted), row in zip(res.history, rep_rows):
+            assert (row.m, row.residual, row.accepted) == (m, resid, accepted)
+            if apr is None:
+                assert math.isnan(row.apriori)
+            else:
+                assert row.apriori == apr
+        err = np.linalg.norm(res.approximation.data - oracle, 2) / np.linalg.norm(oracle, 2)
+        assert rep_rows[res.m - 1].rel_err == pytest.approx(err, rel=1e-12)
 
 
 # --------------------------------------------------------------- sqrt_db_newton

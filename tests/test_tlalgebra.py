@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from marktop import (DimensionError, TLMatrix, ToeplitzInput, from_toeplitz,
+from marktop import (DimensionError, SingularMatrix, TLMatrix, ToeplitzInput, from_toeplitz,
                      identity_tl, read_toeplitz, write_toeplitz)
 from marktop.tlalgebra import (add, compress, displacement, invert, matvec,
                                matvec_t, multiply, norm_est, scale, shift,
@@ -175,6 +175,13 @@ def test_invert_nonsymmetric():
     err = np.max(np.abs(to_dense(invert(a)) - np.linalg.inv(to_dense(a))))
     assert err <= 1e-10
     assert invert(a).width <= 4
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_invert_zero_generators_singular(symmetric):
+    zero = np.zeros((8, 2))
+    with pytest.raises(SingularMatrix):
+        invert(TLMatrix(8, zero, zero, symmetric=symmetric))
 
 
 # --------------------------------------------------------------------- matvec
