@@ -17,6 +17,8 @@ recursion without ever forming dense n x n arrays.
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,37 +58,50 @@ def displacement(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FFT kernels: circulant C1(v) and skew-circulant Cm1(v), v = first column
+# FFT kernel: A = (1/2) sum_k C1(g_k) Cm1(J b_k), with C1(v) the circulant and
+# Cm1(v) = D^* C1(d v) D the skew-circulant of first column v, D = diag(d)
 # ---------------------------------------------------------------------------
 
-def _circ_matvec(v, x):
-    fx = np.fft.fft(x, axis=0)
-    fv = np.fft.fft(v)
-    return np.fft.ifft(fv[:, None] * fx, axis=0).real
-
-
-def _skew_matvec(v, x):
-    n = len(v)
+@functools.lru_cache
+def _twiddle(n: int) -> np.ndarray:
+    """d = exp(i pi k / n), shared read-only across matrices of size n."""
     d = np.exp(1j * np.pi * np.arange(n) / n)
-    fx = np.fft.fft(d[:, None] * x, axis=0)
-    fv = np.fft.fft(d * v)
-    return (np.conj(d)[:, None] * np.fft.ifft(fv[:, None] * fx, axis=0)).real
+    d.setflags(write=False)
+    return d
 
 
-def _circ_t(v):
-    """First column of C1(v)^T."""
-    w = np.empty_like(v)
-    w[0] = v[0]
-    w[1:] = v[:0:-1]
-    return w
+def _forward(y, skew):
+    """Spectra of the rows of y in the circulant (rfft) or skew (fft of
+    d y) basis."""
+    if skew:
+        return np.fft.fft(_twiddle(y.shape[-1]) * y)
+    return np.fft.rfft(y)
 
 
-def _skew_t(v):
-    """First column of Cm1(v)^T."""
-    w = np.empty_like(v)
-    w[0] = v[0]
-    w[1:] = -v[:0:-1]
-    return w
+def _inverse(s, skew, n):
+    if skew:
+        return (np.conj(_twiddle(n)) * np.fft.ifft(s)).real
+    return np.fft.irfft(s, n)
+
+
+def _two_stage(x, s1, skew1, s2, skew2):
+    """(1/2) sum_k S2_k S1_k x for the factors with row spectra s1[k], s2[k]
+    of shape (r, .); x is (n,) or (n, p).  Each stage is one batched FFT
+    over all generator columns, and the sum over k precedes the last inverse
+    FFT: 2r + 2 transforms per column of x, in blocks that keep the work
+    array at O(n max(r, p))."""
+    x = np.asarray(x, dtype=float)
+    xm = x[:, None] if x.ndim == 1 else x
+    n, p = xm.shape
+    out = np.empty((n, p))
+    blk = max(1, p // max(s1.shape[0], 1))
+    for j in range(0, p, blk):
+        fx = _forward(xm[:, j:j + blk].T, skew1)             # (b, m1)
+        w = _inverse(s1[:, None, :] * fx, skew1, n)           # (r, b, n)
+        s = np.einsum("km,kbm->bm", s2, _forward(w, skew2))   # (b, m2)
+        out[:, j:j + blk] = _inverse(s, skew2, n).T
+    out *= 0.5
+    return out[:, 0] if x.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +127,18 @@ class TLMatrix:
     @property
     def width(self) -> int:
         return self.G.shape[1]
+
+    # Spectra of the kernel's factors, computed on first use.  ``replace``
+    # builds a new object, so results of scale/compress start uncached.
+    @functools.cached_property
+    def _spec_g(self) -> np.ndarray:
+        """rfft of each g_k: the spectra of C1(g_k), shape (r, n//2 + 1)."""
+        return _forward(self.G.T, skew=False)
+
+    @functools.cached_property
+    def _spec_b(self) -> np.ndarray:
+        """fft(d J b_k): the twiddled spectra of Cm1(J b_k), shape (r, n)."""
+        return _forward(self.B[::-1].T, skew=True)
 
 
 def from_toeplitz(col, row=None) -> TLMatrix:
@@ -154,36 +181,33 @@ def identity_tl(n: int) -> TLMatrix:
 
 def matvec(a: TLMatrix, x):
     """A @ x from generators: A = (1/2) sum_k C1(g_k) Cm1(J b_k)."""
-    x = np.asarray(x, dtype=float)
-    vec = x.ndim == 1
-    xm = x[:, None] if vec else x
-    out = np.zeros_like(xm)
-    for k in range(a.width):
-        w = _skew_matvec(a.B[::-1, k], xm)
-        out += _circ_matvec(a.G[:, k], w)
-    out *= 0.5
-    return out[:, 0] if vec else out
+    return _two_stage(x, a._spec_b, True, a._spec_g, False)
 
 
 def matvec_t(a: TLMatrix, x):
-    """A^T @ x via the transpose closed forms of the FFT factors."""
-    x = np.asarray(x, dtype=float)
-    vec = x.ndim == 1
-    xm = x[:, None] if vec else x
-    out = np.zeros_like(xm)
-    for k in range(a.width):
-        w = _circ_matvec(_circ_t(a.G[:, k]), xm)
-        out += _skew_matvec(_skew_t(a.B[::-1, k]), w)
-    out *= 0.5
-    return out[:, 0] if vec else out
+    """A^T @ x from the spectra of A: for real v, C1(v)^T has the spectrum
+    conj(fft(v)) and Cm1(v)^T the twiddled spectrum conj(fft(d v))."""
+    return _two_stage(x, np.conj(a._spec_g), False, np.conj(a._spec_b), True)
 
 
 def to_dense(a: TLMatrix) -> np.ndarray:
+    """Dense A.  Untagged matrices are filled from the first column and row
+    along the diagonals by the displacement recurrence
+    A[i, j+1] = A[i-1, j] - (G B^T)[i, j]."""
     _STATS["dense_calls"].append(a.n)
     if a.toeplitz is not None:
         col, row = a.toeplitz
         return scipy.linalg.toeplitz(col, row)
-    return matvec(a, np.eye(a.n))
+    n = a.n
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    out = np.empty((n, n))
+    np.matmul(-a.G, a.B[:-1].T, out=out[:, 1:])
+    out[0] = matvec_t(a, e1)
+    out[:, 0] = matvec(a, e1)
+    for i in range(1, n):
+        out[i, 1:] += out[i - 1, :-1]
+    return out
 
 
 def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
@@ -252,32 +276,44 @@ def compress(a: TLMatrix, tol: float = COMPRESS_TOL) -> TLMatrix:
     return replace(a, G=g, B=b)
 
 
+def _nonsingular(solver, *args):
+    """solver(*args), with numpy's singular-matrix error as SingularMatrix."""
+    try:
+        return solver(*args)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+
+
 def solve(a: TLMatrix, rhs):
     """Solve A x = rhs, using the Levinson recursion when A carries exact
     Toeplitz data and a dense factorization otherwise."""
     rhs = np.asarray(rhs, dtype=float)
     if a.toeplitz is not None:
-        col, row = a.toeplitz
-        try:
-            return scipy.linalg.solve_toeplitz((col, row), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from exc
-    dense = to_dense(a)
-    try:
-        return scipy.linalg.solve(dense, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
+        return _nonsingular(scipy.linalg.solve_toeplitz, a.toeplitz, rhs)
+    return _nonsingular(scipy.linalg.solve, to_dense(a), rhs)
 
 
 def solve_t(a: TLMatrix, rhs):
     """Solve A^T x = rhs."""
     if a.symmetric:
         return solve(a, rhs)
+    rhs = np.asarray(rhs, dtype=float)
     if a.toeplitz is not None:
         col, row = a.toeplitz
-        return scipy.linalg.solve_toeplitz((row, col), np.asarray(rhs, dtype=float))
+        return _nonsingular(scipy.linalg.solve_toeplitz, (row, col), rhs)
+    return _nonsingular(scipy.linalg.solve, to_dense(a).T, rhs)
+
+
+def _lu_factor(a: TLMatrix):
+    """LU factors of the dense A.  lu_factor only warns on an exact zero
+    pivot; here that raises SingularMatrix instead."""
     dense = to_dense(a)
-    return scipy.linalg.solve(dense.T, np.asarray(rhs, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(dense, overwrite_a=True)
+    if not np.all(np.diagonal(lu)):
+        raise SingularMatrix("exactly zero pivot in the LU factorization")
+    return lu, piv
 
 
 def invert(a: TLMatrix) -> TLMatrix:
@@ -291,8 +327,8 @@ def invert(a: TLMatrix) -> TLMatrix:
     compressed afterwards.
     """
     n, r = a.n, a.width
-    # stack the right-hand sides: without exact Toeplitz data every solve
-    # call densifies and factors the matrix anew
+    # stack the right-hand sides: without exact Toeplitz data A is
+    # densified and factored once per invert
     if a.symmetric:
         x = solve(a, np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
@@ -304,8 +340,13 @@ def invert(a: TLMatrix) -> TLMatrix:
     e1[0] = 1.0
     en = np.zeros((n, 1))
     en[-1] = 1.0
-    x = solve(a, np.hstack([a.G, e1]))
-    xt = solve_t(a, np.hstack([a.B, en]))
+    rhs, rhs_t = np.hstack([a.G, e1]), np.hstack([a.B, en])
+    if a.toeplitz is not None:
+        x, xt = solve(a, rhs), solve_t(a, rhs_t)
+    else:
+        lu = _lu_factor(a)
+        x = scipy.linalg.lu_solve(lu, rhs)
+        xt = scipy.linalg.lu_solve(lu, rhs_t, trans=1)
     g = np.hstack([-x[:, :r], e1, 2.0 * x[:, r:]])
     b = np.hstack([xt[:, :r], 2.0 * xt[:, r:], en])
     return compress(TLMatrix(n, g, b))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from marktop import cli
+from marktop import tlalgebra as tl
 from marktop.cli import EXIT_CONFIG, EXIT_OK, main
 from marktop.experiments import (CSV_HEADER, gen_random_spd_toeplitz,
                                  laplacian1d)
-from marktop.tlalgebra import read_toeplitz
+from marktop.tlalgebra import ToeplitzInput, read_toeplitz, write_toeplitz
 
 
 def read_csv(path):
@@ -139,6 +141,22 @@ def test_matfun_file_matrix(tmp_path, capsys):
 def test_matfun_missing_path_exits_2(capsys):
     rc = main(["matfun", "--matrix", "file"])
     assert rc == EXIT_CONFIG
+
+
+def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys):
+    """A singular system met by solve_t is a configuration error (exit 2),
+    not a runtime failure (exit 3)."""
+    path = tmp_path / "singular.txt"
+    write_toeplitz(path, ToeplitzInput(np.array([0.0, 1.0, 0.0, 0.0]),
+                                       np.array([0.0, 2.0, 0.0, 0.0])))
+
+    def transposed_solve(config):
+        return tl.solve_t(config.source.matrix(), np.ones(4))
+
+    monkeypatch.setattr(cli.ex, "run_experiment", transposed_solve)
+    rc = main(["matfun", "--matrix", "file", "--path", str(path)])
+    assert rc == EXIT_CONFIG
+    assert "Singular" in capsys.readouterr().err
 
 
 def test_power_spec_requires_gamma(capsys):

@@ -1,5 +1,7 @@
 """Displacement-generator Toeplitz-like arithmetic against dense oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ from marktop import (DimensionError, SingularMatrix, TLMatrix, ToeplitzInput, fr
                      identity_tl, read_toeplitz, write_toeplitz)
 from marktop.tlalgebra import (add, compress, displacement, invert, matvec,
                                matvec_t, multiply, norm_est, scale, shift,
-                               shift_matrix, solve, to_dense)
+                               shift_matrix, solve, solve_t, to_dense)
 
 
 def random_toeplitz_col(n, seed, diag=4.0):
@@ -16,6 +18,22 @@ def random_toeplitz_col(n, seed, diag=4.0):
     col = rng.uniform(-1.0, 1.0, size=n)
     col[0] = diag  # diagonal dominance keeps the matrix SPD
     return col
+
+
+def explicit_dense(g, b):
+    """(1/2) sum_k C1(g_k) Cm1(J b_k), each factor built entry by entry."""
+    n, r = g.shape
+    out = np.zeros((n, n))
+    for k in range(r):
+        skew = scipy.linalg.circulant(b[::-1, k])
+        skew[np.triu_indices(n, 1)] *= -1.0  # wrapped entries change sign
+        out += 0.5 * scipy.linalg.circulant(g[:, k]) @ skew
+    return out
+
+
+def random_generators(n, r, seed):
+    rng = np.random.default_rng(seed)
+    return TLMatrix(n, rng.standard_normal((n, r)), rng.standard_normal((n, r)))
 
 
 # --------------------------------------------------------------- displacement
@@ -211,6 +229,44 @@ def test_matvec_t_dense_agreement():
     assert np.allclose(matvec_t(a, v), to_dense(a).T @ v, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 6, 7, 64])
+@pytest.mark.parametrize("r", [0, 1, 20])
+def test_untagged_kernel_matches_explicit_construction(n, r):
+    a = random_generators(n, r, 30 + n + r)
+    want = explicit_dense(a.G, a.B)
+    scale_ = max(np.linalg.norm(want), 1.0)
+    v = np.random.default_rng(31).standard_normal(n)
+    assert np.linalg.norm(to_dense(a) - want) <= 1e-14 * n * scale_
+    assert np.linalg.norm(matvec(a, v) - want @ v) <= 1e-14 * n * scale_ * np.linalg.norm(v)
+    assert np.linalg.norm(matvec_t(a, v) - want.T @ v) <= 1e-14 * n * scale_ \
+        * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])  # p < r, p = r, p > r in blocks of 2
+def test_matvec_block_right_hand_sides(p):
+    n = 33
+    a = random_generators(n, 3, 32)
+    want = explicit_dense(a.G, a.B)
+    x = np.random.default_rng(33).standard_normal((n, p))
+    assert np.allclose(matvec(a, x), want @ x, rtol=0, atol=1e-13 * np.linalg.norm(want))
+    assert np.allclose(matvec_t(a, x), want.T @ x, rtol=0,
+                       atol=1e-13 * np.linalg.norm(want))
+    # each column agrees with its own single-vector product
+    for j in range(p):
+        assert np.allclose(matvec(a, x)[:, j], matvec(a, x[:, j]), rtol=0, atol=1e-14)
+
+
+def test_scale_after_matvec_does_not_reuse_spectra():
+    a = random_generators(16, 2, 34)
+    v = np.random.default_rng(35).standard_normal(16)
+    before, before_t = matvec(a, v), matvec_t(a, v)
+    doubled = scale(a, 2.0)
+    assert np.allclose(matvec(doubled, v), 2.0 * before, rtol=1e-14, atol=0)
+    assert np.allclose(matvec_t(doubled, v), 2.0 * before_t, rtol=1e-14, atol=0)
+    assert np.allclose(to_dense(doubled), 2.0 * explicit_dense(a.G, a.B), atol=1e-13)
+    assert np.array_equal(matvec(a, v), before)
+
+
 # ---------------------------------------------------------------------- solve
 
 def test_solve_identity():
@@ -244,6 +300,37 @@ def test_solve_untagged_dense_path():
     rng = np.random.default_rng(26)
     rhs = rng.standard_normal(n)
     assert np.allclose(solve(bare, rhs), solve(a, rhs), atol=1e-10)
+
+
+SINGULAR = {
+    "zero-untagged": TLMatrix(6, np.zeros((6, 2)), np.zeros((6, 2))),
+    "toeplitz-zero-minor": from_toeplitz([0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR))
+def test_singular_solves_raise_singular_matrix(name):
+    a = SINGULAR[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no LinAlgWarning on the way
+        for solver in (solve, solve_t):
+            with pytest.raises(SingularMatrix):
+                solver(a, np.ones(a.n))
+        with pytest.raises(SingularMatrix):
+            invert(a)
+
+
+def test_invert_untagged_nonsymmetric():
+    n = 24
+    rng = np.random.default_rng(36)
+    col = rng.uniform(-0.5, 0.5, n)
+    row = rng.uniform(-0.5, 0.5, n)
+    col[0] = row[0] = 3.0
+    tagged = from_toeplitz(col, row)
+    bare = TLMatrix(n, tagged.G, tagged.B)
+    want = np.linalg.inv(scipy.linalg.toeplitz(col, row))
+    assert np.max(np.abs(to_dense(invert(bare)) - want)) <= 1e-10
+    assert np.max(np.abs(to_dense(invert(bare)) - to_dense(invert(tagged)))) <= 1e-12
 
 
 # ------------------------------------------------------------------- compress
