@@ -12,9 +12,8 @@ from .errors import (BoundInvalid, Breakdown, DegreeUnavailable,
                      PoleHit, PoleLocationError, RankDeficiency,
                      SingularMatrix)
 from .interp import (Barycentric, BaryKind, PartialFraction, RationalInterpolant,
-                     ThieleCF, barycentric_fit, eval_interpolant,
-                     fit_interpolant, interp_error_scan, loewner_pfd,
-                     thiele_fit)
+                     ThieleCF, barycentric_fit, fit_interpolant,
+                     interp_error_scan, loewner_pfd, thiele_fit)
 from .markov import (MarkovKind, MarkovSpec, check_hankel_definiteness,
                      custom_spec, eval_markov, hankel_matrix, inv_sqrt_spec,
                      log_spec, power_spec, taylor_coeffs, worst_case_spec)

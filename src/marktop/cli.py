@@ -23,10 +23,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _float(text: str) -> float:
-    return float(text)  # accepts "inf"/"-inf" through the float constructor
-
-
 def _make_spec(args):
     if args.spec == "inv_sqrt":
         return inv_sqrt_spec()
@@ -109,20 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nodes", help="print optimal nodes and bounds")
-    p.add_argument("--alpha", type=_float, required=True)
-    p.add_argument("--beta", type=_float, required=True)
-    p.add_argument("--c", type=_float, required=True)
-    p.add_argument("--d", type=_float, required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--d", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_nodes)
 
     p = sub.add_parser("scan", help="scalar error scan on cosine points")
     p.add_argument("--spec", default="inv_sqrt",
                    choices=["inv_sqrt", "log", "power", "constant"])
-    p.add_argument("--gamma", type=_float, default=None)
-    p.add_argument("--value", type=_float, default=1.0)
-    p.add_argument("--c", type=_float, required=True)
-    p.add_argument("--d", type=_float, required=True)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--value", type=float, default=1.0)
+    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--d", type=float, required=True)
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, default=15)
     p.add_argument("--reps", default="pfd,barycentric,thiele")
@@ -132,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matfun", help="matrix function experiment")
     p.add_argument("--spec", default="log",
                    choices=["inv_sqrt", "log", "power", "constant"])
-    p.add_argument("--gamma", type=_float, default=None)
-    p.add_argument("--value", type=_float, default=1.0)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--value", type=float, default=1.0)
     p.add_argument("--matrix", default="random",
                    choices=["file", "random", "laplacian1d"])
     p.add_argument("--path", default=None)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--lmin", type=_float, default=25.0)
-    p.add_argument("--lmax", type=_float, default=139.2)
+    p.add_argument("--lmin", type=float, default=25.0)
+    p.add_argument("--lmax", type=float, default=139.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--case", default="i", choices=["i", "ii", "iii", "iv"])
     p.add_argument("--reps", default="pfd,barycentric,thiele")
@@ -150,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random SPD Toeplitz file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lmin", type=_float, required=True)
-    p.add_argument("--lmax", type=_float, required=True)
+    p.add_argument("--lmin", type=float, required=True)
+    p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_gen)

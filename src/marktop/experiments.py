@@ -25,6 +25,7 @@ from .markov import MarkovSpec
 CSV_HEADER = ["case", "rep", "m", "rel_err", "apriori", "residual",
               "accepted", "tau", "wall_ms"]
 ORACLE_MAX_N = 1024
+SCAN_GRID_SIZE = 500
 
 
 def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
@@ -67,12 +68,11 @@ def dense_f_oracle(spec: MarkovSpec, a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: MarkovSpec
-    source: tl.ToeplitzInput | np.ndarray  # Toeplitz input or diagonal entries
+    source: tl.ToeplitzInput
     case: str                              # "i" | "ii" | "iii" | "iv"
     reps: tuple[str, ...] = ("pfd", "barycentric", "thiele")
     m_max: int = 20
     with_oracle: bool = True
-    label: str = ""
 
     def __post_init__(self):
         if self.case not in ("i", "ii", "iii", "iv"):
@@ -104,15 +104,10 @@ def _spectral_bounds(tin: tl.ToeplitzInput) -> tuple[float, float]:
 
 def _build_arg(config: ExperimentConfig):
     """MatArg + dense matrix for the oracle, per the case selector."""
-    if config.case == "iv" or isinstance(config.source, np.ndarray):
-        if isinstance(config.source, np.ndarray):
-            diag = np.asarray(config.source, dtype=float)
-        else:
-            c0, d0 = _spectral_bounds(config.source)
-            n = len(config.source.col)
-            diag = cosine_points(n, c0, d0)
-        return mf.diag_arg(diag), np.diag(diag)
     c0, d0 = _spectral_bounds(config.source)
+    if config.case == "iv":
+        diag = cosine_points(len(config.source.col), c0, d0)
+        return mf.diag_arg(diag), np.diag(diag)
     if config.case == "ii":
         c0, d0 = c0 / 2.0, 2.0 * d0
     dense = scipy.linalg.toeplitz(config.source.col, config.source.row)
@@ -167,10 +162,10 @@ def write_rows(path, rows):
             writer.writerow(row.as_list())
 
 
-def scalar_scan(spec: MarkovSpec, c: float, d: float, m_range, reps,
-                grid_size: int = 500) -> list[ExperimentRow]:
+def scalar_scan(spec: MarkovSpec, c: float, d: float, m_range,
+                reps) -> list[ExperimentRow]:
     """Scalar relative errors over cosine points, one row per (rep, m)."""
-    grid = cosine_points(grid_size, c, d)
+    grid = cosine_points(SCAN_GRID_SIZE, c, d)
     g = build_geometry(spec.alpha, spec.beta, c, d)
     arg = mf.diag_arg(grid, c, d)
     fz = np.asarray(spec(grid), dtype=float)

@@ -61,7 +61,6 @@ class Barycentric:
         t = np.asarray(self.support)
         w = np.asarray(self.weights)
         fv = np.asarray(self.values)
-        out = np.empty(arr.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = arr[..., None] - t
             cauchy = w / diff
@@ -100,8 +99,7 @@ class ThieleCF:
                 r = p[j] + (arr - zt[j]) / r
             if self.reciprocal:
                 r = 1.0 / r
-        out = r
-        return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+        return float(r[0]) if np.ndim(z) == 0 else r.reshape(np.shape(z))
 
 
 @dataclass(frozen=True)
@@ -113,10 +111,6 @@ class RationalInterpolant:
 
     def __call__(self, z):
         return self.rep(z)
-
-
-def eval_interpolant(r: RationalInterpolant | PartialFraction | Barycentric | ThieleCF, z):
-    return r(z)
 
 
 def _split_samples(samples):

@@ -12,7 +12,8 @@ skew-circulant factors.
 
 Matrices that are exactly Toeplitz (or shifted Toeplitz) additionally
 carry their first column/row so linear solves can use the Levinson
-recursion without ever forming dense n x n arrays.
+recursion without ever forming dense n x n arrays; every other solve
+goes through one dense LU factorization.
 """
 
 from __future__ import annotations
@@ -109,14 +110,15 @@ class TLMatrix:
     """Immutable Toeplitz-like matrix in generator form.
 
     ``toeplitz`` carries (first column, first row) when the matrix is
-    exactly Toeplitz; ``symmetric`` enables the structured inverse.
+    exactly Toeplitz.  Solves and inverses choose their method from that
+    data alone: Levinson for tagged matrices, with the symmetric inverse
+    formula when the column equals the row, and one dense LU otherwise.
     """
 
     n: int
     G: np.ndarray
     B: np.ndarray
     toeplitz: tuple[np.ndarray, np.ndarray] | None = None
-    symmetric: bool = False
 
     def __post_init__(self):
         if self.G.shape != self.B.shape or self.G.shape[0] != self.n:
@@ -127,6 +129,11 @@ class TLMatrix:
     @property
     def width(self) -> int:
         return self.G.shape[1]
+
+    @property
+    def symmetric(self) -> bool:
+        """True for exact Toeplitz data whose first column equals its row."""
+        return self.toeplitz is not None and np.array_equal(*self.toeplitz)
 
     # Spectra of the kernel's factors, computed on first use.  ``replace``
     # builds a new object, so results of scale/compress start uncached.
@@ -154,25 +161,18 @@ def from_toeplitz(col, row=None) -> TLMatrix:
     n = len(col)
     if len(row) != n or col[0] != row[0]:
         raise DimensionError("first column/row must agree in length and corner")
-    # t_k for k = -(n-1)..(n-1):  t[k] = col[k] (k>=0), row[-k] (k<0)
-    def t(k):
-        return col[k] if k >= 0 else row[-k]
-    r_vec = np.empty(n)
-    for j in range(1, n):
-        r_vec[j - 1] = t(n - j) - t(-j)
-    r_vec[n - 1] = 2.0 * t(0)
-    s_vec = np.empty(n)
-    s_vec[0] = 0.0
-    for i in range(2, n + 1):
-        s_vec[i - 1] = t(i - 1 - n) + t(i - 1)
+    # with t_k = col[k] (k >= 0), row[-k] (k < 0):
+    # r_{j-1} = t_{n-j} - t_{-j} (j < n), r_{n-1} = 2 t_0;
+    # s_0 = 0, s_{i-1} = t_{i-1-n} + t_{i-1} (i >= 2)
+    r_vec = np.append(col[:0:-1] - row[1:], 2.0 * col[0])
+    s_vec = np.append(0.0, row[:0:-1] + col[1:])
     e1 = np.zeros(n)
     e1[0] = 1.0
     en = np.zeros(n)
     en[-1] = 1.0
     g = np.column_stack([e1, s_vec])
     b = np.column_stack([r_vec, en])
-    sym = bool(np.array_equal(col, row))
-    return TLMatrix(n, g, b, toeplitz=(col.copy(), row.copy()), symmetric=sym)
+    return TLMatrix(n, g, b, toeplitz=(col.copy(), row.copy()))
 
 
 def identity_tl(n: int) -> TLMatrix:
@@ -216,8 +216,7 @@ def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
     toe = None
     if a.toeplitz is not None and b.toeplitz is not None:
         toe = (a.toeplitz[0] + b.toeplitz[0], a.toeplitz[1] + b.toeplitz[1])
-    return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]),
-                    toeplitz=toe, symmetric=a.symmetric and b.symmetric)
+    return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]), toeplitz=toe)
 
 
 def scale(a: TLMatrix, alpha: float) -> TLMatrix:
@@ -240,7 +239,7 @@ def shift(a: TLMatrix, z: float) -> TLMatrix:
         col[0] -= z
         row[0] -= z
         toe = (col, row)
-    return TLMatrix(a.n, g, b, toeplitz=toe, symmetric=a.symmetric)
+    return TLMatrix(a.n, g, b, toeplitz=toe)
 
 
 def multiply(x: TLMatrix, y: TLMatrix) -> TLMatrix:
@@ -257,7 +256,7 @@ def multiply(x: TLMatrix, y: TLMatrix) -> TLMatrix:
     return compress(TLMatrix(n, g, b))
 
 
-def compress(a: TLMatrix, tol: float = COMPRESS_TOL) -> TLMatrix:
+def compress(a: TLMatrix) -> TLMatrix:
     """Minimal-width generator via QR of the panels and an inner SVD."""
     if a.width == 0:
         return a
@@ -269,39 +268,38 @@ def compress(a: TLMatrix, tol: float = COMPRESS_TOL) -> TLMatrix:
     else:
         # the panel-scale floor discards rounding residue left by exact
         # cancellations (e.g. A + (-A)), which the relative rule would keep
-        floor = tol * np.linalg.norm(rg, 2) * np.linalg.norm(rb, 2)
-        keep = int(np.sum(sv > max(tol * sv[0], floor)))
+        floor = COMPRESS_TOL * np.linalg.norm(rg, 2) * np.linalg.norm(rb, 2)
+        keep = int(np.sum(sv > max(COMPRESS_TOL * sv[0], floor)))
     g = qg @ u[:, :keep] * sv[:keep]
     b = qb @ vt[:keep].T
     return replace(a, G=g, B=b)
 
 
-def _nonsingular(solver, *args):
-    """solver(*args), with numpy's singular-matrix error as SingularMatrix."""
+def _levinson(col_row, rhs):
+    """solve_toeplitz, with numpy's singular-matrix error as SingularMatrix."""
     try:
-        return solver(*args)
+        return scipy.linalg.solve_toeplitz(col_row, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
 
 
 def solve(a: TLMatrix, rhs):
     """Solve A x = rhs, using the Levinson recursion when A carries exact
-    Toeplitz data and a dense factorization otherwise."""
+    Toeplitz data and one dense LU otherwise."""
     rhs = np.asarray(rhs, dtype=float)
     if a.toeplitz is not None:
-        return _nonsingular(scipy.linalg.solve_toeplitz, a.toeplitz, rhs)
-    return _nonsingular(scipy.linalg.solve, to_dense(a), rhs)
+        return _levinson(a.toeplitz, rhs)
+    return scipy.linalg.lu_solve(_lu_factor(a), rhs)
 
 
 def solve_t(a: TLMatrix, rhs):
-    """Solve A^T x = rhs."""
-    if a.symmetric:
-        return solve(a, rhs)
+    """Solve A^T x = rhs: Levinson with column and row swapped, or the
+    transposed solve of the LU of A."""
     rhs = np.asarray(rhs, dtype=float)
     if a.toeplitz is not None:
         col, row = a.toeplitz
-        return _nonsingular(scipy.linalg.solve_toeplitz, (row, col), rhs)
-    return _nonsingular(scipy.linalg.solve, to_dense(a).T, rhs)
+        return _levinson((row, col), rhs)
+    return scipy.linalg.lu_solve(_lu_factor(a), rhs, trans=1)
 
 
 def _lu_factor(a: TLMatrix):
@@ -319,8 +317,9 @@ def _lu_factor(a: TLMatrix):
 def invert(a: TLMatrix) -> TLMatrix:
     """Generator pair of A^{-1} via structured solves.
 
-    Symmetric case: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T, width
-    tau from 2 tau solves.  General case: width tau + 2 from
+    Symmetric Toeplitz data: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T,
+    width tau from 2 tau Levinson solves.  Every other matrix, width
+    tau + 2 from
 
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
@@ -328,14 +327,15 @@ def invert(a: TLMatrix) -> TLMatrix:
     """
     n, r = a.n, a.width
     # stack the right-hand sides: without exact Toeplitz data A is
-    # densified and factored once per invert
+    # densified and factored once per invert.  Levinson is reached through
+    # the module-level solve/solve_t, where a tracer can count it.
     if a.symmetric:
         x = solve(a, np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
         g = -np.roll(x[:, :r], 1, axis=0)
         b = np.roll(x[:, r:], -1, axis=0)
         b[-1] = -b[-1]
-        return compress(TLMatrix(n, g, b, symmetric=True))
+        return compress(TLMatrix(n, g, b))
     e1 = np.zeros((n, 1))
     e1[0] = 1.0
     en = np.zeros((n, 1))
@@ -352,14 +352,14 @@ def invert(a: TLMatrix) -> TLMatrix:
     return compress(TLMatrix(n, g, b))
 
 
-def norm_est(a: TLMatrix, max_iters: int = 100, seed: int = 0) -> float:
-    """Spectral norm estimate by power iteration on A^T A: at least 30
-    iterations, then until the estimate changes by less than 1e-6."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.n)
+def norm_est(a: TLMatrix) -> float:
+    """Spectral norm estimate by power iteration on A^T A from a fixed
+    random start: at least 30 iterations, then until the estimate changes
+    by less than 1e-6, at most 100."""
+    v = np.random.default_rng(0).standard_normal(a.n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for it in range(max_iters):
+    for it in range(100):
         w = matvec(a, v)
         v = matvec_t(a, w)
         nv = np.linalg.norm(v)

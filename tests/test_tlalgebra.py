@@ -195,11 +195,14 @@ def test_invert_nonsymmetric():
     assert invert(a).width <= 4
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_invert_zero_generators_singular(symmetric):
-    zero = np.zeros((8, 2))
+@pytest.mark.parametrize("a", [
+    pytest.param(TLMatrix(8, np.zeros((8, 2)), np.zeros((8, 2))), id="untagged"),
+    pytest.param(from_toeplitz(np.zeros(8)), id="toeplitz"),
+])
+def test_invert_zero_generators_singular(a):
+    # the general formula with one LU, and the symmetric formula with Levinson
     with pytest.raises(SingularMatrix):
-        invert(TLMatrix(8, zero, zero, symmetric=symmetric))
+        invert(a)
 
 
 # --------------------------------------------------------------------- matvec
@@ -296,10 +299,26 @@ def test_solve_matvec_roundtrip():
 def test_solve_untagged_dense_path():
     n = 32
     a = from_toeplitz(random_toeplitz_col(n, 25))
-    bare = TLMatrix(n, a.G, a.B, symmetric=True)
+    bare = TLMatrix(n, a.G, a.B)
     rng = np.random.default_rng(26)
     rhs = rng.standard_normal(n)
     assert np.allclose(solve(bare, rhs), solve(a, rhs), atol=1e-10)
+
+
+def test_solve_t_untagged_nonsymmetric():
+    # the dense LU of A serves A^T x = rhs through its transposed solve
+    n = 24
+    rng = np.random.default_rng(38)
+    col = rng.uniform(-0.5, 0.5, n)
+    row = rng.uniform(-0.5, 0.5, n)
+    col[0] = row[0] = 3.0
+    tagged = from_toeplitz(col, row)
+    bare = TLMatrix(n, tagged.G, tagged.B)
+    rhs = rng.standard_normal((n, 2))
+    dense = scipy.linalg.toeplitz(col, row)
+    assert np.allclose(solve(bare, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+    assert np.allclose(solve_t(bare, rhs), np.linalg.solve(dense.T, rhs), rtol=0, atol=1e-12)
+    assert np.allclose(solve_t(bare, rhs), solve_t(tagged, rhs), rtol=0, atol=1e-12)
 
 
 SINGULAR = {
@@ -331,6 +350,21 @@ def test_invert_untagged_nonsymmetric():
     want = np.linalg.inv(scipy.linalg.toeplitz(col, row))
     assert np.max(np.abs(to_dense(invert(bare)) - want)) <= 1e-10
     assert np.max(np.abs(to_dense(invert(bare)) - to_dense(invert(tagged)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_invert_untagged_symmetric_takes_general_formula(n):
+    # without the Toeplitz tag a symmetric matrix is inverted by the general
+    # formula through one LU; it must agree with the symmetric formula
+    a = from_toeplitz(random_toeplitz_col(n, 37 + n))
+    bare = TLMatrix(n, a.G, a.B)
+    assert a.symmetric and not bare.symmetric
+    d = to_dense(a)
+    cond = np.linalg.cond(d)
+    inv = invert(bare)
+    assert inv.width <= 2
+    assert np.max(np.abs(to_dense(inv) - to_dense(invert(a)))) <= 1e-8 * cond
+    assert np.max(np.abs(to_dense(inv) - np.linalg.inv(d))) <= 1e-8 * cond
 
 
 # ------------------------------------------------------------------- compress
