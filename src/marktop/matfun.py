@@ -243,7 +243,13 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
                  measure):
     """For each m in ms fit r_m of spec and of the worst-case function at
     the quasi-optimal nodes, apply measure to r_m and certify it with the
-    worst-case residual on a; yield one DegreeRecord per degree."""
+    worst-case residual on a; yield one DegreeRecord per degree.
+
+    The geometry's [c, d] must enclose the argument's own [c, d]: a looser
+    one only makes the bounds pessimistic, a tighter one voids them."""
+    if not (g.c <= a.c and a.d <= g.d):
+        raise BoundInvalid(f"geometry [c, d] = [{g.c:.6g}, {g.d:.6g}] does not "
+                           f"enclose the argument's [{a.c:.6g}, {a.d:.6g}]")
     nu = worst_case_spec(g.alpha, g.beta)
     interval = (g.alpha, g.beta)
     for m in ms:

@@ -12,8 +12,9 @@ skew-circulant factors.
 
 Matrices that are exactly Toeplitz (or shifted Toeplitz) additionally
 carry their first column/row so linear solves can use the Levinson
-recursion without ever forming dense n x n arrays; every other solve
-goes through one dense LU factorization.
+recursion without ever forming dense n x n arrays; a symmetric Toeplitz
+inverse costs one Levinson recursion plus FFT products (Gohberg-Semencul).
+Every other solve goes through one dense LU factorization.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import DimensionError, SingularMatrix
@@ -314,30 +316,51 @@ def _lu_factor(a: TLMatrix):
     return lu, piv
 
 
+def _gohberg_semencul(x, y):
+    """A^{-1} y for a symmetric Toeplitz A, from x = A^{-1} e1 alone.
+
+    A^{-1} = (L(x) L(x)^T - L(w) L(w)^T) / x0 with w = Z J x, where L(v) is
+    lower-triangular Toeplitz with first column v, Z the down-shift without
+    wrap and J the reversal (Gohberg & Semencul 1972).  L(v)^T = J L(v) J,
+    so each triangular product is a zero-padded rfft convolution, batched
+    over both factors and the columns of y (n, p): O(n log n) per column.
+    """
+    if not (np.all(np.isfinite(x)) and x[0] != 0.0):
+        raise SingularMatrix(f"A^-1 e1 is not finite or has first entry {x[0]:.3g}")
+    n = len(x)
+    m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    spec = np.fft.rfft(np.stack([x, np.append(0.0, x[:0:-1])]), m)  # (2, k)
+    fy = np.fft.rfft(y[::-1].T, m)                                     # (p, k)
+    u = np.fft.irfft(spec[:, None, :] * fy, m)[..., n - 1::-1]          # (2, p, n)
+    s = np.einsum("ik,ipk->pk", spec * [[1.0], [-1.0]], np.fft.rfft(u, m))
+    return np.fft.irfft(s, m)[:, :n].T / x[0]
+
+
 def invert(a: TLMatrix) -> TLMatrix:
     """Generator pair of A^{-1} via structured solves.
 
     Symmetric Toeplitz data: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T,
-    width tau from 2 tau Levinson solves.  Every other matrix, width
-    tau + 2 from
+    width tau, with A^{-1} applied to [B | G] by the Gohberg-Semencul
+    formula from a single Levinson solve for A^{-1} e1.  Every other
+    matrix, width tau + 2 from
 
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
     compressed afterwards.
     """
     n, r = a.n, a.width
+    e1 = np.zeros((n, 1))
+    e1[0] = 1.0
     # stack the right-hand sides: without exact Toeplitz data A is
     # densified and factored once per invert.  Levinson is reached through
     # the module-level solve/solve_t, where a tracer can count it.
     if a.symmetric:
-        x = solve(a, np.hstack([a.B, a.G]))
+        x = _gohberg_semencul(solve(a, e1[:, 0]), np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
         g = -np.roll(x[:, :r], 1, axis=0)
         b = np.roll(x[:, r:], -1, axis=0)
         b[-1] = -b[-1]
         return compress(TLMatrix(n, g, b))
-    e1 = np.zeros((n, 1))
-    e1[0] = 1.0
     en = np.zeros((n, 1))
     en[-1] = 1.0
     rhs, rhs_t = np.hstack([a.G, e1]), np.hstack([a.B, en])

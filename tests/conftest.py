@@ -8,6 +8,22 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def levinson_calls(monkeypatch):
+    """Right-hand-side shape of each Levinson solve made during the test;
+    scipy runs one recursion per right-hand-side column."""
+    from marktop import tlalgebra
+    calls = []
+    levinson = tlalgebra._levinson
+
+    def counting(col_row, rhs):
+        calls.append(np.shape(rhs))
+        return levinson(col_row, rhs)
+
+    monkeypatch.setattr(tlalgebra, "_levinson", counting)
+    return calls
+
+
 def random_spd_toeplitz_col(n, seed, diag=4.0, spread=0.5):
     """First column of a diagonally dominant (hence SPD) symmetric Toeplitz."""
     r = np.random.default_rng(seed)

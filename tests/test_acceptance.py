@@ -22,7 +22,7 @@ from marktop.experiments import (cosine_points, dense_f_oracle,
                                  scalar_scan)
 from marktop.matfun import auto_degree, eval_rational_at_matrix, mat_to_dense
 from marktop.tlalgebra import (add, compress, from_toeplitz, get_stats,
-                               invert, matvec, multiply, reset_stats,
+                               invert, matvec, multiply, reset_stats, shift,
                                to_dense)
 
 INF = float("inf")
@@ -241,7 +241,7 @@ def test_criterion_9_frac_power_laplacian():
     print(f"criterion 9 PASS (scaling={res.scaling}, err={err:.2e})")
 
 
-def test_criterion_10_performance_smoke():
+def test_criterion_10_performance_smoke(levinson_calls):
     # FFT matvec at n = 2^17 with a width-2 generator
     n = 1 << 17
     rng = np.random.default_rng(3)
@@ -275,5 +275,17 @@ def test_criterion_10_performance_smoke():
     tau_a = 2
     assert stats["peak_width"] <= 2 * m * (tau_a + 1), stats
     assert out.data.width <= 2 * m * (tau_a + 1)
+    # a shifted SPD inverse at n = 4096: one Levinson recursion, no densifying
+    shifted = shift(from_toeplitz(col2), -1.0)
+    reset_stats()
+    levinson_calls.clear()
+    t0 = time.perf_counter()
+    inv = invert(shifted)
+    inv_wall = time.perf_counter() - t0
+    assert get_stats()["dense_calls"] == ()
+    assert levinson_calls == [(n2,)]
+    v = rng.standard_normal(n2)
+    back = matvec(shifted, matvec(inv, v))
+    assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
     print(f"criterion 10 PASS (matvec {wall * 1000:.0f} ms, "
-          f"peak width {stats['peak_width']})")
+          f"peak width {stats['peak_width']}, invert {inv_wall * 1000:.0f} ms)")

@@ -181,6 +181,27 @@ def test_auto_degree_unavailable_with_lying_bounds():
         auto_degree(inv_sqrt_spec(), a, g, m_max=5)
 
 
+@pytest.mark.parametrize("gc, gd", [(2.0, 6.0), (0.5, 50.0), (2.0, 200.0)])
+def test_auto_degree_rejects_geometry_inside_argument_bounds(gc, gd):
+    a = diag_arg(cosine_points(1.0, 100.0, 40), 1.0, 100.0)
+    g = build_geometry(-INF, 0.0, gc, gd)
+    with pytest.raises(BoundInvalid):
+        auto_degree(inv_sqrt_spec(), a, g, m_max=8)
+
+
+def test_auto_degree_accepts_looser_geometry():
+    # a [c, d] wider than the argument's keeps every bound valid, only
+    # pessimistic: the accepted degree still meets its a priori bound
+    lam = cosine_points(1.0, 100.0, 40)
+    a = diag_arg(lam, 1.0, 100.0)
+    loose = build_geometry(-INF, 0.0, 0.5, 200.0)
+    tight = build_geometry(-INF, 0.0, 1.0, 100.0)
+    res = auto_degree(inv_sqrt_spec(), a, loose, m_max=8)
+    err = np.max(np.abs(1.0 - res.approximation.data * np.sqrt(lam)))
+    assert err <= apriori_bound(loose, res.m)
+    assert apriori_bound(loose, res.m) > apriori_bound(tight, res.m)
+
+
 def test_run_experiment_rows_match_auto_degree():
     # spectrum [1, 1e12]: 2 rho^2 >= 1, so m = 1 has no a priori bound
     tin = gen_random_spd_toeplitz(24, 1.0, 1e12, 5)

@@ -8,9 +8,10 @@ import scipy.linalg
 
 from marktop import (DimensionError, SingularMatrix, TLMatrix, ToeplitzInput, from_toeplitz,
                      identity_tl, read_toeplitz, write_toeplitz)
-from marktop.tlalgebra import (add, compress, displacement, invert, matvec,
-                               matvec_t, multiply, norm_est, scale, shift,
-                               shift_matrix, solve, solve_t, to_dense)
+from marktop.tlalgebra import (add, compress, displacement, get_stats, invert,
+                               matvec, matvec_t, multiply, norm_est,
+                               reset_stats, scale, shift, shift_matrix, solve,
+                               solve_t, to_dense)
 
 
 def random_toeplitz_col(n, seed, diag=4.0):
@@ -195,6 +196,44 @@ def test_invert_nonsymmetric():
     assert invert(a).width <= 4
 
 
+def symmetric_toeplitz_case(kind, n):
+    """Shifted SPD A + I, or symmetric data with both signs in its spectrum
+    (negative definite at n = 1)."""
+    rng = np.random.default_rng(40 + n)
+    col = rng.uniform(-1.0, 1.0, n) * 0.5 ** np.minimum(np.arange(n), 60)
+    if kind == "shifted-spd":
+        col[0] = 2.0
+        return shift(from_toeplitz(col), -1.0)
+    col[0] = -0.5
+    col[1:2] = 2.0  # the leading 2 x 2 block has eigenvalues 1.5 and -2.5
+    return from_toeplitz(col)
+
+
+@pytest.mark.parametrize("kind", ["shifted-spd", "indefinite"])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
+def test_invert_symmetric_toeplitz_matches_dense_inverse(kind, n):
+    a = symmetric_toeplitz_case(kind, n)
+    assert a.symmetric
+    d = to_dense(a)
+    eigs = np.linalg.eigvalsh(d)
+    assert (eigs[0] > 0) == (kind == "shifted-spd") and (n == 1 or eigs[-1] > 0)
+    cond = np.linalg.cond(d)
+    err = np.max(np.abs(to_dense(invert(a)) - np.linalg.inv(d)))
+    assert err <= 1e-8 * cond
+
+
+def test_invert_symmetric_toeplitz_runs_one_recursion(levinson_calls):
+    # Gohberg-Semencul: A^{-1} follows from A^{-1} e1 alone, however wide
+    # the generator it is applied to
+    n = 256
+    a = symmetric_toeplitz_case("shifted-spd", n)
+    assert a.width == 3
+    reset_stats()
+    invert(a)
+    assert levinson_calls == [(n,)]
+    assert get_stats()["dense_calls"] == ()
+
+
 @pytest.mark.parametrize("a", [
     pytest.param(TLMatrix(8, np.zeros((8, 2)), np.zeros((8, 2))), id="untagged"),
     pytest.param(from_toeplitz(np.zeros(8)), id="toeplitz"),
@@ -324,6 +363,7 @@ def test_solve_t_untagged_nonsymmetric():
 SINGULAR = {
     "zero-untagged": TLMatrix(6, np.zeros((6, 2)), np.zeros((6, 2))),
     "toeplitz-zero-minor": from_toeplitz([0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]),
+    "toeplitz-symmetric-rank-one": from_toeplitz(np.ones(4)),
 }
 
 
@@ -335,6 +375,17 @@ def test_singular_solves_raise_singular_matrix(name):
         for solver in (solve, solve_t):
             with pytest.raises(SingularMatrix):
                 solver(a, np.ones(a.n))
+        with pytest.raises(SingularMatrix):
+            invert(a)
+
+
+def test_invert_symmetric_overflowing_recursion_raises():
+    # Levinson overflows to nan on this data without an error of its own;
+    # the inverse must not carry nan generators on
+    a = from_toeplitz([1e-300, 1e300, 0.0])
+    assert np.isnan(solve(a, [1.0, 0.0, 0.0])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(SingularMatrix):
             invert(a)
 
