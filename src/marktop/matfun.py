@@ -74,7 +74,8 @@ def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
 # ---------------------------------------------------------------------------
 
 class Ops(NamedTuple):
-    """The matrix operations the drivers need, on one kind's data."""
+    """The matrix operations the drivers need, on one kind's data.  Norms are
+    of operators applied, never formed: exact, or from below by Lanczos for tl."""
 
     n: Callable         # x -> size
     identity: Callable  # n -> I
@@ -83,7 +84,8 @@ class Ops(NamedTuple):
     add: Callable       # (x, y) -> x + y
     mul: Callable       # (x, y) -> x y
     inv: Callable       # x -> x^{-1}
-    norm: Callable      # x -> ||x||_2 (an estimate for tl)
+    apply: Callable     # (x, v) -> x v
+    norm: Callable      # (f, n) -> ||f||_2 of a symmetric operator f
     to_dense: Callable  # x -> ndarray
 
 
@@ -96,7 +98,8 @@ _OPS = {
                  add=lambda x, y: x + y,
                  mul=lambda x, y: x @ y,
                  inv=np.linalg.inv,
-                 norm=lambda x: float(np.linalg.norm(x, 2)),
+                 apply=lambda x, v: x @ v,
+                 norm=lambda f, n: float(np.linalg.norm(f(np.eye(n)), 2)),
                  to_dense=lambda x: x),
     "tl": Ops(n=lambda x: x.n,
               identity=lambda n: tl.identity_tl(n),
@@ -105,7 +108,8 @@ _OPS = {
               add=lambda x, y: tl.compress(tl.add(x, y)),
               mul=lambda x, y: tl.multiply(x, y),
               inv=lambda x: tl.invert(x),
-              norm=lambda x: tl.norm_est(x),
+              apply=lambda x, v: tl.matvec(x, v),
+              norm=lambda f, n: tl.norm_est(f, n),
               to_dense=lambda x: tl.to_dense(x)),
     "diagonal": Ops(n=len, identity=np.ones,
                     shift=lambda x, z: x - z,
@@ -113,7 +117,8 @@ _OPS = {
                     add=lambda x, y: x + y,
                     mul=lambda x, y: x * y,
                     inv=lambda x: 1.0 / x,
-                    norm=lambda x: float(np.max(np.abs(x))),
+                    apply=lambda x, v: x * v,
+                    norm=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
                     to_dense=np.diag),
 }
 
@@ -173,33 +178,28 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
     return replace(a, data=ops.mul(num, ops.inv(den)))
 
 
-def _deviation(a: MatArg, x) -> float:
-    """|| I - x ||."""
-    ops = a.ops
-    return ops.norm(ops.add(ops.identity(a.n), ops.scale(x, -1.0)))
+def _deviation(a: MatArg, apply) -> float:
+    """|| I - X || for the symmetric operator apply: v -> X v."""
+    return a.ops.norm(lambda v: v - apply(v), a.n)
 
 
 def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
-    """Spectral-norm residual of the worst-case interpolant:
-    || I - r_nu(A) (1/|alpha|)(A - alpha I)(A - beta I) r_nu(A) ||,
-    with the limit || I - r_nu(A)^2 (A - beta I) || when alpha = -inf."""
-    alpha, beta = g.alpha, g.beta
-    if a.kind == "diagonal":
-        lam = a.data
-        rv = np.asarray(r_nu(lam), dtype=float)
-        if math.isinf(alpha):
-            resid = 1.0 - rv * rv * (lam - beta)
-        else:
-            resid = 1.0 - rv * (lam - alpha) * (lam - beta) * rv / abs(alpha)
-        return float(np.max(np.abs(resid)))
+    """Spectral-norm residual || I - R W R || of the worst-case interpolant with
+    R = r_nu(A) and W = (A - alpha I)(A - beta I)/|alpha|, or A - beta I when
+    alpha = -inf, applied factor by factor and never formed.  Its norm is exact
+    on dense and diagonal arguments; on tl a Lanczos Ritz value, a lower estimate."""
     ops = a.ops
-    e = eval_rational_at_matrix(r_nu, a)
-    if math.isinf(alpha):
-        w = ops.shift(a.data, beta)
-    else:
-        w = ops.scale(ops.mul(ops.shift(a.data, alpha), ops.shift(a.data, beta)),
-                      1.0 / abs(alpha))
-    return _deviation(a, ops.mul(e.data, ops.mul(w, e.data)))
+    r = eval_rational_at_matrix(r_nu, a).data
+    shifts = (g.beta,) if math.isinf(g.alpha) else (g.alpha, g.beta)
+    scale = 1.0 if math.isinf(g.alpha) else 1.0 / abs(g.alpha)
+
+    def rwr(v):
+        v = ops.apply(r, v)
+        for z in shifts:
+            v = ops.apply(a.data, v) - z * v
+        return ops.apply(r, scale * v)
+
+    return _deviation(a, rwr)
 
 
 _ETA_APOST_MAX = (math.sqrt(2.0) - 1.0) ** 2
@@ -218,10 +218,10 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     delta = 4.0 * eta / (1.0 - eta) ** 2
     if delta >= 1.0:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
-    em = eval_rational_at_matrix(r_m, a)
-    emp = eval_rational_at_matrix(r_mp, a)
-    quot = a.ops.mul(em.data, a.ops.inv(emp.data))
-    return (1.0 + delta) / (1.0 - delta) * _deviation(a, quot)
+    em = eval_rational_at_matrix(r_m, a).data
+    emp_inv = a.ops.inv(eval_rational_at_matrix(r_mp, a).data)
+    return (1.0 + delta) / (1.0 - delta) * _deviation(
+        a, lambda v: a.ops.apply(em, a.ops.apply(emp_inv, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
                             ops.scale(minv, 1.0 / (4.0 * mu * mu))))
         x = ops.mul(ops.add(ident, ops.scale(minv, 1.0 / (mu * mu))),
                     ops.scale(x, mu / 2.0))
-        res = _deviation(b, m)
+        res = _deviation(b, lambda v: ops.apply(m, v))
         residuals.append(res)
         if phase == 2:
             phase2_steps += 1

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .errors import DimensionError, SingularMatrix
+from .errors import DimensionError, DomainError, SingularMatrix
 
 COMPRESS_TOL = 1e-14
 
@@ -150,6 +150,18 @@ class TLMatrix:
         return _forward(self.B[::-1].T, skew=True)
 
 
+def _check_toeplitz_data(col, row):
+    """Finite entries, then first column and row of equal length that share
+    their corner entry."""
+    for name, v in (("column", col), ("row", row)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise DomainError(f"first {name} entry {bad[0]} is {v[bad[0]]}, "
+                              "Toeplitz entries must be finite")
+    if len(col) != len(row) or col[0] != row[0]:
+        raise DimensionError("first column/row must agree in length and corner")
+
+
 def from_toeplitz(col, row=None) -> TLMatrix:
     """Generator pair of a Toeplitz matrix from its first column and row.
 
@@ -157,12 +169,9 @@ def from_toeplitz(col, row=None) -> TLMatrix:
     read off the defining diagonals, so the width is exactly 2.
     """
     col = np.asarray(col, dtype=float)
-    if row is None:
-        row = col.copy()
-    row = np.asarray(row, dtype=float)
+    row = col.copy() if row is None else np.asarray(row, dtype=float)
+    _check_toeplitz_data(col, row)
     n = len(col)
-    if len(row) != n or col[0] != row[0]:
-        raise DimensionError("first column/row must agree in length and corner")
     # with t_k = col[k] (k >= 0), row[-k] (k < 0):
     # r_{j-1} = t_{n-j} - t_{-j} (j < n), r_{n-1} = 2 t_0;
     # s_0 = 0, s_{i-1} = t_{i-1-n} + t_{i-1} (i >= 2)
@@ -278,11 +287,15 @@ def compress(a: TLMatrix) -> TLMatrix:
 
 
 def _levinson(col_row, rhs):
-    """solve_toeplitz, with numpy's singular-matrix error as SingularMatrix."""
+    """solve_toeplitz, with numpy's singular-matrix error and an overflowing
+    recursion, which returns nonfinite values silently, as SingularMatrix."""
     try:
-        return scipy.linalg.solve_toeplitz(col_row, rhs)
+        x = scipy.linalg.solve_toeplitz(col_row, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrix("Levinson recursion overflowed to nonfinite values")
+    return x
 
 
 def solve(a: TLMatrix, rhs):
@@ -325,8 +338,8 @@ def _gohberg_semencul(x, y):
     so each triangular product is a zero-padded rfft convolution, batched
     over both factors and the columns of y (n, p): O(n log n) per column.
     """
-    if not (np.all(np.isfinite(x)) and x[0] != 0.0):
-        raise SingularMatrix(f"A^-1 e1 is not finite or has first entry {x[0]:.3g}")
+    if x[0] == 0.0:
+        raise SingularMatrix("A^-1 e1 has first entry 0")
     n = len(x)
     m = scipy.fft.next_fast_len(2 * n - 1, real=True)
     spec = np.fft.rfft(np.stack([x, np.append(0.0, x[:0:-1])]), m)  # (2, k)
@@ -375,25 +388,24 @@ def invert(a: TLMatrix) -> TLMatrix:
     return compress(TLMatrix(n, g, b))
 
 
-def norm_est(a: TLMatrix) -> float:
-    """Spectral norm estimate by power iteration on A^T A from a fixed
-    random start: at least 30 iterations, then until the estimate changes
-    by less than 1e-6, at most 100."""
-    v = np.random.default_rng(0).standard_normal(a.n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for it in range(100):
-        w = matvec(a, v)
-        v = matvec_t(a, w)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        new = np.sqrt(nv)
-        v /= nv
-        if it >= 30 and abs(new - est) <= 1e-6 * new:
-            return float(new)
-        est = new
-    return float(est)
+def norm_est(apply, n: int) -> float:
+    """Lower estimate of the 2-norm of the symmetric operator v -> apply(v) on
+    R^n: the largest |Ritz value| of fully reorthogonalized Lanczos from a fixed
+    random start, after n steps or once it moves by at most 1e-4 relative."""
+    q = np.random.default_rng(0).standard_normal(n)
+    basis, alpha, beta, ritz = (q / np.linalg.norm(q))[None], [], [], []
+    for k in range(n):
+        w = apply(basis[-1])
+        alpha.append(basis[-1] @ w)
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            w = w - basis.T @ (basis @ w)
+        theta = scipy.linalg.eigvalsh_tridiagonal(alpha, beta)
+        ritz.append(float(np.max(np.abs(theta))))
+        beta.append(np.linalg.norm(w))
+        if beta[-1] == 0.0 or (k > 0 and abs(ritz[-1] - ritz[-2]) <= 1e-4 * ritz[-1]):
+            break
+        basis = np.vstack([basis, w / beta[-1]])
+    return ritz[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +420,7 @@ class ToeplitzInput:
     row: np.ndarray
 
     def __post_init__(self):
-        if len(self.col) != len(self.row) or self.col[0] != self.row[0]:
-            raise DimensionError("first column/row must agree in length and corner")
+        _check_toeplitz_data(self.col, self.row)
 
     def matrix(self) -> TLMatrix:
         return from_toeplitz(self.col, self.row)

@@ -138,6 +138,14 @@ def test_matfun_file_matrix(tmp_path, capsys):
     assert len(read_csv(out)) == 7
 
 
+def test_matfun_nonfinite_file_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.txt"
+    path.write_text("4\n4.0\n1.0\n0.0\n0.0\ninf\n0.0\n0.0\n")
+    rc = main(["matfun", "--matrix", "file", "--path", str(path)])
+    assert rc == EXIT_CONFIG
+    assert "first row entry 1 is inf" in capsys.readouterr().err
+
+
 def test_matfun_missing_path_exits_2(capsys):
     rc = main(["matfun", "--matrix", "file"])
     assert rc == EXIT_CONFIG

@@ -10,7 +10,7 @@ from marktop import (BoundInvalid, DegreeUnavailable, MatArg, PartialFraction,
                      PoleCollision, aposteriori_bound, apriori_bound,
                      auto_degree, build_geometry, dense_arg, diag_arg,
                      eval_rational_at_matrix, fit_interpolant, frac_power,
-                     from_toeplitz, inv_sqrt_spec, log_via_scaling,
+                     from_toeplitz, inv_sqrt_spec, log_spec, log_via_scaling,
                      optimal_nodes, residual_sqrt, sqrt_db_newton, tl_arg,
                      worst_case_spec)
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
@@ -107,6 +107,17 @@ def test_residual_matrix_matches_diagonal():
     got_diag = residual_sqrt(diag_arg(lam, c, d), r_nu, g)
     got_dense = residual_sqrt(dense_arg(np.diag(lam), c, d), r_nu, g)
     assert got_dense == pytest.approx(got_diag, rel=1e-10)
+    # a Toeplitz argument as dense, as its spectrum and in generator form
+    col = spd_toeplitz_col(64, 7, diag=0.75)
+    col[1:] *= 0.1  # Gershgorin: the spectrum lies in [0.55, 0.95]
+    dense = scipy.linalg.toeplitz(col)
+    got_dense = residual_sqrt(dense_arg(dense, c, d), r_nu, g)
+    got_diag = residual_sqrt(diag_arg(np.linalg.eigvalsh(dense), c, d), r_nu, g)
+    got_tl = residual_sqrt(tl_arg(from_toeplitz(col), c, d), r_nu, g)
+    assert got_dense == pytest.approx(got_diag, rel=1e-10)
+    # the Lanczos value is a lower estimate; the top of a residual's
+    # spectrum is a tight cluster, so it lands a few 1e-3 low at most
+    assert got_dense * (1.0 - 5e-3) <= got_tl <= got_dense * (1.0 + 1e-6)
 
 
 # ------------------------------------------------------------ aposteriori_bound
@@ -129,6 +140,17 @@ def test_aposteriori_dominates_true_error():
     bound = aposteriori_bound(a, r_m, r_mp, g)
     true = np.max(np.abs(1.0 - r_m(lam) * np.sqrt(lam)))
     assert bound >= true * (1.0 - 1e-6)
+    # a Toeplitz argument, dense and in generator form
+    col = spd_toeplitz_col(64, 11, diag=0.75)
+    col[1:] *= 0.1  # Gershgorin: the spectrum lies in [0.55, 0.95]
+    lam = np.linalg.eigvalsh(scipy.linalg.toeplitz(col))
+    bound = aposteriori_bound(dense_arg(scipy.linalg.toeplitz(col), c, d), r_m, r_mp, g)
+    true = np.max(np.abs(1.0 - r_m(lam) * np.sqrt(lam)))
+    # r_mp's own error (9e-14 here) enters additively, which the factor
+    # (1 + delta)/(1 - delta) does not cover: the bound falls 9e-14 short
+    assert bound >= true * (1.0 - 1e-6) - 1e-12
+    bound_tl = aposteriori_bound(tl_arg(from_toeplitz(col), c, d), r_m, r_mp, g)
+    assert bound * (1.0 - 5e-3) <= bound_tl <= bound * (1.0 + 1e-6)
 
 
 # ------------------------------------------------------------------ auto_degree
@@ -200,6 +222,41 @@ def test_auto_degree_accepts_looser_geometry():
     err = np.max(np.abs(1.0 - res.approximation.data * np.sqrt(lam)))
     assert err <= apriori_bound(loose, res.m)
     assert apriori_bound(loose, res.m) > apriori_bound(tight, res.m)
+
+
+def test_auto_degree_tl_reaches_dense_accuracy():
+    # log(z)/(z - 1) on spectrum [25, 139.2] at n = 1024: the TL residual
+    # must resolve about 2e-13 at m = 7, as the dense one does
+    tin = gen_random_spd_toeplitz(1024, 25.0, 139.2, 0)
+    dense = scipy.linalg.toeplitz(tin.col)
+    eigs = np.linalg.eigvalsh(dense)
+    spec = log_spec()
+    g = build_geometry(spec.alpha, spec.beta, eigs[0], eigs[-1])
+    res = auto_degree(spec, tl_arg(tin.matrix(), eigs[0], eigs[-1]), g, "pfd", 12)
+    oracle = dense_f_oracle(spec, dense)
+    err = np.linalg.norm(mat_to_dense(res.approximation) - oracle, 2) \
+        / np.linalg.norm(oracle, 2)
+    assert res.m >= 7
+    assert err <= 1e-13
+
+
+def test_auto_degree_tl_residuals_nonzero_and_seed_independent():
+    # SPD Toeplitz matrices with the same spectral interval [1, 2]: the
+    # degree follows from the interval, not from rounding in the residual
+    n = 512
+    spec = inv_sqrt_spec()
+    g = build_geometry(-INF, 0.0, 1.0, 2.0)
+    degrees = set()
+    for seed in range(1, 7):
+        rng = np.random.default_rng(seed)
+        col = rng.uniform(-1.0, 1.0, n) * (1.0 + np.arange(n)) ** -2
+        eigs = np.linalg.eigvalsh(scipy.linalg.toeplitz(col))
+        col *= 1.0 / (eigs[-1] - eigs[0])
+        col[0] += 1.0 - eigs[0] / (eigs[-1] - eigs[0])
+        res = auto_degree(spec, tl_arg(from_toeplitz(col), 1.0, 2.0), g, "pfd", 8)
+        assert all(resid > 0.0 for _, resid, _, _ in res.history)
+        degrees.add(res.m)
+    assert len(degrees) == 1
 
 
 def test_run_experiment_rows_match_auto_degree():

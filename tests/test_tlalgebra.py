@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from marktop import (DimensionError, SingularMatrix, TLMatrix, ToeplitzInput, from_toeplitz,
-                     identity_tl, read_toeplitz, write_toeplitz)
+from marktop import (DimensionError, DomainError, SingularMatrix, TLMatrix,
+                     ToeplitzInput, from_toeplitz, identity_tl, read_toeplitz,
+                     write_toeplitz)
 from marktop.tlalgebra import (add, compress, displacement, get_stats, invert,
                                matvec, matvec_t, multiply, norm_est,
                                reset_stats, scale, shift, shift_matrix, solve,
@@ -97,6 +98,19 @@ def test_nonsymmetric_toeplitz_roundtrip():
 def test_from_toeplitz_corner_mismatch():
     with pytest.raises(DimensionError):
         from_toeplitz([1.0, 2.0], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("col, row, entry", [
+    ([np.nan, 1.0, 0.0], [np.nan, 1.0, 0.0], "first column entry 0 is nan"),
+    ([4.0, 1.0, 0.0], [4.0, np.inf, 0.0], "first row entry 1 is inf"),
+    ([4.0, 1.0, -np.inf], [4.0, 1.0, 0.0], "first column entry 2 is -inf"),
+])
+def test_nonfinite_toeplitz_entries_rejected(col, row, entry):
+    # checked before the corner test: a nan diagonal never equals itself
+    with pytest.raises(DomainError, match=entry):
+        from_toeplitz(col, row)
+    with pytest.raises(DomainError, match=entry):
+        ToeplitzInput(np.array(col), np.array(row))
 
 
 # -------------------------------------------------------- add / scale / shift
@@ -380,14 +394,15 @@ def test_singular_solves_raise_singular_matrix(name):
 
 
 def test_invert_symmetric_overflowing_recursion_raises():
-    # Levinson overflows to nan on this data without an error of its own;
-    # the inverse must not carry nan generators on
+    # scipy's Levinson overflows to nan on this data without an error of
+    # its own; no solve may hand nan on, and the inverse must not carry it
     a = from_toeplitz([1e-300, 1e300, 0.0])
-    assert np.isnan(solve(a, [1.0, 0.0, 0.0])).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix):
-            invert(a)
+        for fn in (lambda: solve(a, [1.0, 0.0, 0.0]),
+                   lambda: solve_t(a, [1.0, 0.0, 0.0]), lambda: invert(a)):
+            with pytest.raises(SingularMatrix):
+                fn()
 
 
 def test_invert_untagged_nonsymmetric():
@@ -431,14 +446,25 @@ def test_compress_padded_generators():
 # ------------------------------------------------------------------- norm_est
 
 def test_norm_est_identity():
-    assert norm_est(compress(identity_tl(16))) == pytest.approx(1.0, abs=1e-10)
+    a = compress(identity_tl(16))
+    assert norm_est(lambda v: matvec(a, v), 16) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_norm_est_vs_dense():
     n = 128
     a = from_toeplitz(random_toeplitz_col(n, 28))
     want = np.linalg.norm(to_dense(a), 2)
-    assert norm_est(a) == pytest.approx(want, rel=0.01)
+    assert norm_est(lambda v: matvec(a, v), n) == pytest.approx(want, rel=1e-3)
+
+
+def test_norm_est_indefinite_is_largest_magnitude():
+    # the extreme eigenvalue of largest magnitude is the negative one
+    n = 96
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    lam = np.linspace(-3.0, 2.0, n)
+    m = (q * lam) @ q.T
+    assert norm_est(lambda v: m @ v, n) == pytest.approx(3.0, rel=1e-3)
+    assert norm_est(lambda v: -m @ v, n) == pytest.approx(3.0, rel=1e-3)
 
 
 # ------------------------------------------------------------------- file I/O
