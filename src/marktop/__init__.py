@@ -20,8 +20,8 @@ from .markov import (MarkovKind, MarkovSpec, check_hankel_definiteness,
 from .matfun import (MatArg, MatFunResult, aposteriori_bound, auto_degree,
                      dense_arg, diag_arg, eval_rational_at_matrix, frac_power,
                      log_via_scaling, residual_sqrt, sqrt_db_newton, tl_arg)
-from .tlalgebra import (TLMatrix, ToeplitzInput, from_toeplitz, identity_tl,
-                        read_toeplitz, write_toeplitz)
+from .tlalgebra import (TLMatrix, from_toeplitz, identity_tl, read_toeplitz,
+                        write_toeplitz)
 
 __version__ = "0.1.0"
 

@@ -91,8 +91,8 @@ def cmd_matfun(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    tin = ex.gen_random_spd_toeplitz(args.n, args.lmin, args.lmax, args.seed)
-    write_toeplitz(args.output, tin)
+    a = ex.gen_random_spd_toeplitz(args.n, args.lmin, args.lmax, args.seed)
+    write_toeplitz(args.output, a)
     print(f"wrote {args.n} x {args.n} Toeplitz to {args.output}")
     return EXIT_OK
 

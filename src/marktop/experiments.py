@@ -29,7 +29,7 @@ SCAN_GRID_SIZE = 500
 
 
 def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
-                            seed: int) -> tl.ToeplitzInput:
+                            seed: int) -> tl.TLMatrix:
     """Seeded random symmetric Toeplitz with its spectrum affinely shifted
     so the extreme eigenvalues land on [lmin, lmax]."""
     if not 0 < lmin < lmax:
@@ -41,15 +41,15 @@ def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
     b = lmin - a * ev[0]
     out = a * col
     out[0] += b
-    return tl.ToeplitzInput(out, out.copy())
+    return tl.from_toeplitz(out)
 
 
-def laplacian1d(n: int) -> tl.ToeplitzInput:
+def laplacian1d(n: int) -> tl.TLMatrix:
     """Tridiagonal 1D Laplacian: 2 on the diagonal, -1 off it."""
     col = np.zeros(n)
     col[0] = 2.0
     col[1] = -1.0
-    return tl.ToeplitzInput(col, col.copy())
+    return tl.from_toeplitz(col)
 
 
 def cosine_points(n: int, c: float, d: float) -> np.ndarray:
@@ -68,7 +68,7 @@ def dense_f_oracle(spec: MarkovSpec, a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: MarkovSpec
-    source: tl.ToeplitzInput
+    source: tl.TLMatrix                    # tagged: exact symmetric Toeplitz
     case: str                              # "i" | "ii" | "iii" | "iv"
     reps: tuple[str, ...] = ("pfd", "barycentric", "thiele")
     m_max: int = 20
@@ -77,6 +77,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.case not in ("i", "ii", "iii", "iv"):
             raise DimensionError(f"unknown case {self.case!r}")
+        if self.source.toeplitz is None:
+            raise DimensionError("the source must be an exact symmetric Toeplitz "
+                                 "matrix, tagged with its first column")
 
 
 @dataclass(frozen=True)
@@ -97,23 +100,19 @@ class ExperimentRow:
                 str(self.accepted).lower(), self.tau, f"{self.wall_ms:.3f}"]
 
 
-def _spectral_bounds(tin: tl.ToeplitzInput) -> tuple[float, float]:
-    ev = np.linalg.eigvalsh(scipy.linalg.toeplitz(tin.col, tin.row))
-    return float(ev[0]), float(ev[-1])
-
-
 def _build_arg(config: ExperimentConfig):
     """MatArg + dense matrix for the oracle, per the case selector."""
-    c0, d0 = _spectral_bounds(config.source)
+    dense = scipy.linalg.toeplitz(config.source.toeplitz)
+    ev = np.linalg.eigvalsh(dense)
+    c0, d0 = float(ev[0]), float(ev[-1])
     if config.case == "iv":
-        diag = cosine_points(len(config.source.col), c0, d0)
+        diag = cosine_points(config.source.n, c0, d0)
         return mf.diag_arg(diag), np.diag(diag)
     if config.case == "ii":
         c0, d0 = c0 / 2.0, 2.0 * d0
-    dense = scipy.linalg.toeplitz(config.source.col, config.source.row)
     if config.case == "iii":
         return mf.dense_arg(dense, c0, d0), dense
-    return mf.tl_arg(config.source.matrix(), c0, d0), dense
+    return mf.tl_arg(config.source, c0, d0), dense
 
 
 def _row(case: str, rep: str, rec: mf.DegreeRecord) -> ExperimentRow:

@@ -139,16 +139,6 @@ def _power_series(exponent: float, z0: float, count: int) -> np.ndarray:
     return g
 
 
-def _shifted_inv_sqrt_series(shift: float, z0: float, count: int) -> np.ndarray:
-    """Coefficients of z -> (z - shift)**(-1/2) about z0 > shift."""
-    base = z0 - shift
-    g = np.empty(count)
-    g[0] = base ** -0.5
-    for j in range(count - 1):
-        g[j + 1] = g[j] * (-0.5 - j) / ((j + 1) * base)
-    return g
-
-
 def _log_over_zm1_series(z0: float, count: int) -> np.ndarray:
     if abs(z0 - 1.0) < 0.9:
         # expand log(1+w)/w = sum c_j w^j (w = z-1), then re-center at z0
@@ -216,10 +206,11 @@ def taylor_coeffs(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
     if spec.kind is MarkovKind.LOG_OVER_ZM1:
         return _log_over_zm1_series(z0, count)
     if spec.kind is MarkovKind.WORST_CASE:
+        # (z - shift)**(-1/2) about z0 is z**(-1/2) about z0 - shift
         if math.isinf(spec.alpha):
-            return _shifted_inv_sqrt_series(spec.beta, z0, count)
-        u = _shifted_inv_sqrt_series(spec.alpha, z0, count)
-        v = _shifted_inv_sqrt_series(spec.beta, z0, count)
+            return _power_series(-0.5, z0 - spec.beta, count)
+        u = _power_series(-0.5, z0 - spec.alpha, count)
+        v = _power_series(-0.5, z0 - spec.beta, count)
         return math.sqrt(abs(spec.alpha)) * np.convolve(u, v)[:count]
     return _custom_series(spec, z0, count)
 

@@ -206,8 +206,10 @@ _ETA_APOST_MAX = (math.sqrt(2.0) - 1.0) ** 2
 
 
 def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
-    """(1+delta)/(1-delta) * || I - r_m(A) r_{m+m'}(A)^{-1} || with
-    delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp."""
+    """(1+delta)/(1-delta) * || I - r_m(A) r_{m+m'}(A)^{-1} || + delta with
+    delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp.  The factor
+    covers the quotient's distortion by r_mp; the added delta is r_mp's own
+    relative error, which the quotient cannot see."""
     nodes_m = tuple(r_m.nodes)
     nodes_mp = tuple(r_mp.nodes)
     if len(nodes_mp) <= len(nodes_m):
@@ -221,7 +223,7 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     em = eval_rational_at_matrix(r_m, a).data
     emp_inv = a.ops.inv(eval_rational_at_matrix(r_mp, a).data)
     return (1.0 + delta) / (1.0 - delta) * _deviation(
-        a, lambda v: a.ops.apply(em, a.ops.apply(emp_inv, v)))
+        a, lambda v: a.ops.apply(em, a.ops.apply(emp_inv, v))) + delta
 
 
 # ---------------------------------------------------------------------------

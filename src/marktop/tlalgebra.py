@@ -10,11 +10,11 @@ matrices have r <= 2 and every operation below tracks generators only;
 matrix-vector products run in O(r n log n) through FFTs of circulant and
 skew-circulant factors.
 
-Matrices that are exactly Toeplitz (or shifted Toeplitz) additionally
-carry their first column/row so linear solves can use the Levinson
-recursion without ever forming dense n x n arrays; a symmetric Toeplitz
-inverse costs one Levinson recursion plus FFT products (Gohberg-Semencul).
-Every other solve goes through one dense LU factorization.
+Matrices that are exactly symmetric Toeplitz (or shifted symmetric
+Toeplitz) additionally carry their first column, so linear solves use the
+Levinson recursion without ever forming dense n x n arrays and an inverse
+costs one Levinson recursion plus FFT products (Gohberg-Semencul).  Every
+other solve goes through one dense LU factorization.
 """
 
 from __future__ import annotations
@@ -111,16 +111,16 @@ def _two_stage(x, s1, skew1, s2, skew2):
 class TLMatrix:
     """Immutable Toeplitz-like matrix in generator form.
 
-    ``toeplitz`` carries (first column, first row) when the matrix is
-    exactly Toeplitz.  Solves and inverses choose their method from that
-    data alone: Levinson for tagged matrices, with the symmetric inverse
-    formula when the column equals the row, and one dense LU otherwise.
+    ``toeplitz`` carries the first column when the matrix is exactly
+    symmetric Toeplitz.  Solves and inverses choose their method from that
+    tag alone: Levinson and the Gohberg-Semencul inverse for tagged
+    matrices, one dense LU otherwise.
     """
 
     n: int
     G: np.ndarray
     B: np.ndarray
-    toeplitz: tuple[np.ndarray, np.ndarray] | None = None
+    toeplitz: np.ndarray | None = None
 
     def __post_init__(self):
         if self.G.shape != self.B.shape or self.G.shape[0] != self.n:
@@ -131,11 +131,6 @@ class TLMatrix:
     @property
     def width(self) -> int:
         return self.G.shape[1]
-
-    @property
-    def symmetric(self) -> bool:
-        """True for exact Toeplitz data whose first column equals its row."""
-        return self.toeplitz is not None and np.array_equal(*self.toeplitz)
 
     # Spectra of the kernel's factors, computed on first use.  ``replace``
     # builds a new object, so results of scale/compress start uncached.
@@ -150,9 +145,17 @@ class TLMatrix:
         return _forward(self.B[::-1].T, skew=True)
 
 
-def _check_toeplitz_data(col, row):
-    """Finite entries, then first column and row of equal length that share
-    their corner entry."""
+def from_toeplitz(col, row=None) -> TLMatrix:
+    """Generator pair of a Toeplitz matrix from its first column and row
+    (the column again when row is None), tagged with the column when the
+    two are equal.
+
+    The displacement of a Toeplitz matrix is e1 r^T + s en^T with entries
+    read off the defining diagonals, so the width is exactly 2.
+    """
+    col = np.asarray(col, dtype=float)
+    row = col if row is None else np.asarray(row, dtype=float)
+    # finite entries first: a nan corner never equals itself
     for name, v in (("column", col), ("row", row)):
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
@@ -160,17 +163,6 @@ def _check_toeplitz_data(col, row):
                               "Toeplitz entries must be finite")
     if len(col) != len(row) or col[0] != row[0]:
         raise DimensionError("first column/row must agree in length and corner")
-
-
-def from_toeplitz(col, row=None) -> TLMatrix:
-    """Generator pair of a Toeplitz matrix from its first column and row.
-
-    The displacement of a Toeplitz matrix is e1 r^T + s en^T with entries
-    read off the defining diagonals, so the width is exactly 2.
-    """
-    col = np.asarray(col, dtype=float)
-    row = col.copy() if row is None else np.asarray(row, dtype=float)
-    _check_toeplitz_data(col, row)
     n = len(col)
     # with t_k = col[k] (k >= 0), row[-k] (k < 0):
     # r_{j-1} = t_{n-j} - t_{-j} (j < n), r_{n-1} = 2 t_0;
@@ -183,7 +175,8 @@ def from_toeplitz(col, row=None) -> TLMatrix:
     en[-1] = 1.0
     g = np.column_stack([e1, s_vec])
     b = np.column_stack([r_vec, en])
-    return TLMatrix(n, g, b, toeplitz=(col.copy(), row.copy()))
+    tag = col.copy() if np.array_equal(col, row) else None
+    return TLMatrix(n, g, b, toeplitz=tag)
 
 
 def identity_tl(n: int) -> TLMatrix:
@@ -207,8 +200,7 @@ def to_dense(a: TLMatrix) -> np.ndarray:
     A[i, j+1] = A[i-1, j] - (G B^T)[i, j]."""
     _STATS["dense_calls"].append(a.n)
     if a.toeplitz is not None:
-        col, row = a.toeplitz
-        return scipy.linalg.toeplitz(col, row)
+        return scipy.linalg.toeplitz(a.toeplitz)
     n = a.n
     e1 = np.zeros(n)
     e1[0] = 1.0
@@ -226,12 +218,12 @@ def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
         raise DimensionError(f"size mismatch {a.n} vs {b.n}")
     toe = None
     if a.toeplitz is not None and b.toeplitz is not None:
-        toe = (a.toeplitz[0] + b.toeplitz[0], a.toeplitz[1] + b.toeplitz[1])
+        toe = a.toeplitz + b.toeplitz
     return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]), toeplitz=toe)
 
 
 def scale(a: TLMatrix, alpha: float) -> TLMatrix:
-    toe = None if a.toeplitz is None else (alpha * a.toeplitz[0], alpha * a.toeplitz[1])
+    toe = None if a.toeplitz is None else alpha * a.toeplitz
     return replace(a, G=alpha * a.G, toeplitz=toe)
 
 
@@ -245,11 +237,8 @@ def shift(a: TLMatrix, z: float) -> TLMatrix:
     b = np.column_stack([a.B, -2.0 * z * en])
     toe = None
     if a.toeplitz is not None:
-        col = a.toeplitz[0].copy()
-        row = a.toeplitz[1].copy()
-        col[0] -= z
-        row[0] -= z
-        toe = (col, row)
+        toe = a.toeplitz.copy()
+        toe[0] -= z
     return TLMatrix(a.n, g, b, toeplitz=toe)
 
 
@@ -286,11 +275,12 @@ def compress(a: TLMatrix) -> TLMatrix:
     return replace(a, G=g, B=b)
 
 
-def _levinson(col_row, rhs):
-    """solve_toeplitz, with numpy's singular-matrix error and an overflowing
-    recursion, which returns nonfinite values silently, as SingularMatrix."""
+def _levinson(col, rhs):
+    """solve_toeplitz for the symmetric Toeplitz matrix with first column col,
+    with numpy's singular-matrix error and an overflowing recursion, which
+    returns nonfinite values silently, as SingularMatrix."""
     try:
-        x = scipy.linalg.solve_toeplitz(col_row, rhs)
+        x = scipy.linalg.solve_toeplitz(col, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -299,8 +289,8 @@ def _levinson(col_row, rhs):
 
 
 def solve(a: TLMatrix, rhs):
-    """Solve A x = rhs, using the Levinson recursion when A carries exact
-    Toeplitz data and one dense LU otherwise."""
+    """Solve A x = rhs, using the Levinson recursion when A carries the
+    symmetric Toeplitz tag and one dense LU otherwise."""
     rhs = np.asarray(rhs, dtype=float)
     if a.toeplitz is not None:
         return _levinson(a.toeplitz, rhs)
@@ -308,12 +298,11 @@ def solve(a: TLMatrix, rhs):
 
 
 def solve_t(a: TLMatrix, rhs):
-    """Solve A^T x = rhs: Levinson with column and row swapped, or the
-    transposed solve of the LU of A."""
-    rhs = np.asarray(rhs, dtype=float)
+    """Solve A^T x = rhs: a tagged A is its own transpose, and otherwise the
+    LU of A serves through its transposed solve."""
     if a.toeplitz is not None:
-        col, row = a.toeplitz
-        return _levinson((row, col), rhs)
+        return solve(a, rhs)
+    rhs = np.asarray(rhs, dtype=float)
     return scipy.linalg.lu_solve(_lu_factor(a), rhs, trans=1)
 
 
@@ -352,22 +341,22 @@ def _gohberg_semencul(x, y):
 def invert(a: TLMatrix) -> TLMatrix:
     """Generator pair of A^{-1} via structured solves.
 
-    Symmetric Toeplitz data: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T,
-    width tau, with A^{-1} applied to [B | G] by the Gohberg-Semencul
-    formula from a single Levinson solve for A^{-1} e1.  Every other
-    matrix, width tau + 2 from
+    Tagged data: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T, width tau,
+    with A^{-1} applied to [B | G] by the Gohberg-Semencul formula from a
+    single Levinson solve for A^{-1} e1.  Every other matrix, width tau + 2
+    from
 
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
-    compressed afterwards.
+    with the right-hand sides stacked on one LU of the dense A, compressed
+    afterwards.
     """
     n, r = a.n, a.width
     e1 = np.zeros((n, 1))
     e1[0] = 1.0
-    # stack the right-hand sides: without exact Toeplitz data A is
-    # densified and factored once per invert.  Levinson is reached through
-    # the module-level solve/solve_t, where a tracer can count it.
-    if a.symmetric:
+    if a.toeplitz is not None:
+        # Levinson is reached through the module-level solve, where a
+        # tracer can count it
         x = _gohberg_semencul(solve(a, e1[:, 0]), np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
         g = -np.roll(x[:, :r], 1, axis=0)
@@ -376,13 +365,9 @@ def invert(a: TLMatrix) -> TLMatrix:
         return compress(TLMatrix(n, g, b))
     en = np.zeros((n, 1))
     en[-1] = 1.0
-    rhs, rhs_t = np.hstack([a.G, e1]), np.hstack([a.B, en])
-    if a.toeplitz is not None:
-        x, xt = solve(a, rhs), solve_t(a, rhs_t)
-    else:
-        lu = _lu_factor(a)
-        x = scipy.linalg.lu_solve(lu, rhs)
-        xt = scipy.linalg.lu_solve(lu, rhs_t, trans=1)
+    lu = _lu_factor(a)
+    x = scipy.linalg.lu_solve(lu, np.hstack([a.G, e1]))
+    xt = scipy.linalg.lu_solve(lu, np.hstack([a.B, en]), trans=1)
     g = np.hstack([-x[:, :r], e1, 2.0 * x[:, r:]])
     b = np.hstack([xt[:, :r], 2.0 * xt[:, r:], en])
     return compress(TLMatrix(n, g, b))
@@ -412,23 +397,10 @@ def norm_est(apply, n: int) -> float:
 # Toeplitz text files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToeplitzInput:
-    """First column and first row of an n x n Toeplitz matrix."""
-
-    col: np.ndarray
-    row: np.ndarray
-
-    def __post_init__(self):
-        _check_toeplitz_data(self.col, self.row)
-
-    def matrix(self) -> TLMatrix:
-        return from_toeplitz(self.col, self.row)
-
-
-def read_toeplitz(path) -> ToeplitzInput:
+def read_toeplitz(path) -> TLMatrix:
     """Text format: first line n, then the n first-column entries, then the
-    n-1 remaining first-row entries (t_{-1} .. t_{-(n-1)}), one per line."""
+    n-1 remaining first-row entries (t_{-1} .. t_{-(n-1)}), one per line.
+    The row must repeat the column: only symmetric data is accepted."""
     with open(path) as fh:
         tokens = fh.read().split()
     n = int(tokens[0])
@@ -437,14 +409,19 @@ def read_toeplitz(path) -> ToeplitzInput:
         raise DimensionError(f"expected {2 * n - 1} entries, got {len(vals)}")
     col = vals[:n]
     row = np.concatenate([[col[0]], vals[n:]])
-    return ToeplitzInput(col, row)
+    a = from_toeplitz(col, row)
+    if a.toeplitz is None:
+        k = np.flatnonzero(row != col)[0]
+        raise DomainError(f"first row entry {k} is {row[k]} but first column "
+                          f"entry {k} is {col[k]}, the matrix must be symmetric")
+    return a
 
 
-def write_toeplitz(path, tin: ToeplitzInput):
-    n = len(tin.col)
+def write_toeplitz(path, a: TLMatrix):
+    """Write a tagged (symmetric Toeplitz) matrix in the read_toeplitz format."""
+    if a.toeplitz is None:
+        raise DimensionError("only a tagged (symmetric Toeplitz) matrix can be written")
     with open(path, "w") as fh:
-        fh.write(f"{n}\n")
-        for v in tin.col:
-            fh.write(f"{float(v)!r}\n")
-        for v in tin.row[1:]:
+        fh.write(f"{a.n}\n")
+        for v in np.concatenate([a.toeplitz, a.toeplitz[1:]]):
             fh.write(f"{float(v)!r}\n")

@@ -151,10 +151,9 @@ def test_criterion_5_hankel_definiteness():
 @pytest.mark.parametrize("n", [64, 256])
 def test_criterion_6_tl_oracle_equivalence(n):
     for seed in range(20):
-        tin = gen_random_spd_toeplitz(n, 1.0, 50.0, seed)
-        a = from_toeplitz(tin.col, tin.row)
-        dense = scipy.linalg.toeplitz(tin.col, tin.row)
-        scale_t = np.max(np.abs(tin.col))
+        a = gen_random_spd_toeplitz(n, 1.0, 50.0, seed)
+        dense = scipy.linalg.toeplitz(a.toeplitz)
+        scale_t = np.max(np.abs(a.toeplitz))
         assert np.max(np.abs(to_dense(a) - dense)) <= 1e-13 * scale_t
         rng = np.random.default_rng(1000 + seed)
         v = rng.standard_normal(n)
@@ -163,7 +162,7 @@ def test_criterion_6_tl_oracle_equivalence(n):
         inv = invert(a)
         cond = np.linalg.cond(dense)
         assert np.max(np.abs(to_dense(inv) - np.linalg.inv(dense))) <= 1e-8 * cond
-        b = from_toeplitz(gen_random_spd_toeplitz(n, 1.0, 20.0, 500 + seed).col)
+        b = gen_random_spd_toeplitz(n, 1.0, 20.0, 500 + seed)
         assert compress(a).width <= 2
         assert compress(add(a, b)).width <= 4
         assert multiply(a, b).width <= 5
@@ -174,8 +173,8 @@ def test_criterion_6_tl_oracle_equivalence(n):
 @pytest.mark.parametrize("cond", [1e2, 1e4])
 def test_criterion_7_newton_sqrt(cond):
     n = 256
-    tin = gen_random_spd_toeplitz(n, 1.0, cond, 11)
-    bm = scipy.linalg.toeplitz(tin.col)
+    t = gen_random_spd_toeplitz(n, 1.0, cond, 11)
+    bm = scipy.linalg.toeplitz(t.toeplitz)
     res = sqrt_db_newton(dense_arg(bm, 1.0, cond), tol=1e-13)
     x = res.x.data
     target = 1e-10 if cond <= 1e2 else 1e-8
@@ -192,11 +191,11 @@ def test_criterion_8_end_to_end_log_over_zm1():
     t0 = time.perf_counter()
     n = 256
     spec = log_spec()
-    tin = gen_random_spd_toeplitz(n, 1.0, 120.0, 5)  # cond ~ 120
-    dense = scipy.linalg.toeplitz(tin.col)
+    t = gen_random_spd_toeplitz(n, 1.0, 120.0, 5)  # cond ~ 120
+    dense = scipy.linalg.toeplitz(t.toeplitz)
     c, d = 1.0, 120.0
     g = build_geometry(-INF, 0.0, c, d)
-    arg = tl_arg(from_toeplitz(tin.col), c, d)
+    arg = tl_arg(t, c, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = auto_degree(spec, arg, g, rep="pfd", m_max=20)
@@ -222,11 +221,11 @@ def test_criterion_8_end_to_end_log_over_zm1():
 
 def test_criterion_9_frac_power_laplacian():
     n = 127
-    tin = laplacian1d(n)
-    dense = scipy.linalg.toeplitz(tin.col)
+    t = laplacian1d(n)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
     ev = np.linalg.eigvalsh(dense)
     c, d = float(ev[0]), float(ev[-1])
-    arg = tl_arg(from_toeplitz(tin.col), c, d)
+    arg = tl_arg(t, c, d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = frac_power(arg, -1.0 / 3.0, rep="pfd")

@@ -4,14 +4,15 @@ import csv
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from marktop import cli
 from marktop import tlalgebra as tl
 from marktop.cli import EXIT_CONFIG, EXIT_OK, main
-from marktop.experiments import (CSV_HEADER, gen_random_spd_toeplitz,
-                                 laplacian1d)
-from marktop.tlalgebra import ToeplitzInput, read_toeplitz, write_toeplitz
+from marktop.errors import DimensionError
+from marktop.experiments import (CSV_HEADER, ExperimentConfig,
+                                 gen_random_spd_toeplitz, laplacian1d)
+from marktop.markov import inv_sqrt_spec
+from marktop.tlalgebra import read_toeplitz, write_toeplitz
 
 
 def read_csv(path):
@@ -45,22 +46,25 @@ def test_gen_deterministic_and_spectrum(tmp_path, capsys):
     assert main(args + [str(p1)]) == EXIT_OK
     assert main(args + [str(p2)]) == EXIT_OK
     assert p1.read_text() == p2.read_text()  # bitwise reproducible
-    tin = read_toeplitz(p1)
-    ev = np.linalg.eigvalsh(scipy.linalg.toeplitz(tin.col, tin.row))
+    ev = np.linalg.eigvalsh(tl.to_dense(read_toeplitz(p1)))
     assert ev[0] == pytest.approx(1.0, rel=0.01)
     assert ev[-1] == pytest.approx(100.0, rel=0.01)
 
 
 def test_gen_random_spd_toeplitz_validates():
-    from marktop.errors import DimensionError
     with pytest.raises(DimensionError):
         gen_random_spd_toeplitz(16, 5.0, 1.0, 0)
 
 
+def test_experiment_source_must_be_tagged():
+    nonsymmetric = tl.from_toeplitz([4.0, 1.0, 0.0], [4.0, 0.5, 0.0])
+    with pytest.raises(DimensionError, match="symmetric Toeplitz"):
+        ExperimentConfig(inv_sqrt_spec(), nonsymmetric, "i")
+
+
 def test_laplacian1d_entries():
-    tin = laplacian1d(5)
     want = np.array([2.0, -1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(tin.col, want)
+    assert np.array_equal(laplacian1d(5).toeplitz, want)
 
 
 # ----------------------------------------------------------------------- scan
@@ -146,6 +150,17 @@ def test_matfun_nonfinite_file_entry_exits_2(tmp_path, capsys):
     assert "first row entry 1 is inf" in capsys.readouterr().err
 
 
+def test_matfun_nonsymmetric_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nonsym.txt"
+    path.write_text("4\n4.0\n1.0\n0.0\n0.0\n1.0\n0.5\n0.0\n")
+    out = tmp_path / "nonsym.csv"
+    rc = main(["matfun", "--matrix", "file", "--path", str(path),
+               "--output", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "first row entry 2 is 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matfun_missing_path_exits_2(capsys):
     rc = main(["matfun", "--matrix", "file"])
     assert rc == EXIT_CONFIG
@@ -155,11 +170,10 @@ def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys)
     """A singular system met by solve_t is a configuration error (exit 2),
     not a runtime failure (exit 3)."""
     path = tmp_path / "singular.txt"
-    write_toeplitz(path, ToeplitzInput(np.array([0.0, 1.0, 0.0, 0.0]),
-                                       np.array([0.0, 2.0, 0.0, 0.0])))
+    write_toeplitz(path, tl.from_toeplitz(np.ones(4)))  # rank one
 
     def transposed_solve(config):
-        return tl.solve_t(config.source.matrix(), np.ones(4))
+        return tl.solve_t(config.source, np.ones(4))
 
     monkeypatch.setattr(cli.ex, "run_experiment", transposed_solve)
     rc = main(["matfun", "--matrix", "file", "--path", str(path)])

@@ -7,8 +7,7 @@ import pytest
 import scipy.linalg
 
 from marktop import (DimensionError, DomainError, SingularMatrix, TLMatrix,
-                     ToeplitzInput, from_toeplitz, identity_tl, read_toeplitz,
-                     write_toeplitz)
+                     from_toeplitz, identity_tl, read_toeplitz, write_toeplitz)
 from marktop.tlalgebra import (add, compress, displacement, get_stats, invert,
                                matvec, matvec_t, multiply, norm_est,
                                reset_stats, scale, shift, shift_matrix, solve,
@@ -76,7 +75,7 @@ def test_toeplitz_roundtrip_and_rank():
     col = random_toeplitz_col(n, 3)
     a = from_toeplitz(col)
     assert compress(a).width == 2
-    assert a.symmetric
+    assert np.array_equal(a.toeplitz, col)
     want = scipy.linalg.toeplitz(col)
     assert np.max(np.abs(to_dense(a) - want)) <= 1e-14 * np.max(np.abs(col))
     # reconstruction from the generators alone (no Toeplitz tag shortcut)
@@ -91,7 +90,8 @@ def test_nonsymmetric_toeplitz_roundtrip():
     row = rng.uniform(-1, 1, n)
     row[0] = col[0]
     a = from_toeplitz(col, row)
-    assert not a.symmetric
+    # the exact width-2 generator, but no tag: only symmetric data carries one
+    assert a.toeplitz is None and compress(a).width == 2
     assert np.allclose(to_dense(a), scipy.linalg.toeplitz(col, row), atol=1e-14)
 
 
@@ -105,12 +105,15 @@ def test_from_toeplitz_corner_mismatch():
     ([4.0, 1.0, 0.0], [4.0, np.inf, 0.0], "first row entry 1 is inf"),
     ([4.0, 1.0, -np.inf], [4.0, 1.0, 0.0], "first column entry 2 is -inf"),
 ])
-def test_nonfinite_toeplitz_entries_rejected(col, row, entry):
-    # checked before the corner test: a nan diagonal never equals itself
+def test_nonfinite_toeplitz_entries_rejected(col, row, entry, tmp_path):
+    # checked before the corner test: a nan diagonal never equals itself;
+    # and in a file before the symmetry test
     with pytest.raises(DomainError, match=entry):
         from_toeplitz(col, row)
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(map(str, [len(col), *col, *row[1:]])))
     with pytest.raises(DomainError, match=entry):
-        ToeplitzInput(np.array(col), np.array(row))
+        read_toeplitz(path)
 
 
 # -------------------------------------------------------- add / scale / shift
@@ -138,7 +141,7 @@ def test_add_rank_rule():
 def test_shift_matches_dense_and_keeps_tag():
     a = from_toeplitz(random_toeplitz_col(20, 6))
     sh = shift(a, 0.75)
-    assert sh.toeplitz is not None and sh.symmetric
+    assert sh.toeplitz is not None
     assert np.allclose(to_dense(sh), to_dense(a) - 0.75 * np.eye(20), atol=1e-14)
     assert compress(sh).width <= a.width + 1
 
@@ -227,7 +230,7 @@ def symmetric_toeplitz_case(kind, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
 def test_invert_symmetric_toeplitz_matches_dense_inverse(kind, n):
     a = symmetric_toeplitz_case(kind, n)
-    assert a.symmetric
+    assert a.toeplitz is not None
     d = to_dense(a)
     eigs = np.linalg.eigvalsh(d)
     assert (eigs[0] > 0) == (kind == "shifted-spd") and (n == 1 or eigs[-1] > 0)
@@ -365,18 +368,16 @@ def test_solve_t_untagged_nonsymmetric():
     col = rng.uniform(-0.5, 0.5, n)
     row = rng.uniform(-0.5, 0.5, n)
     col[0] = row[0] = 3.0
-    tagged = from_toeplitz(col, row)
-    bare = TLMatrix(n, tagged.G, tagged.B)
+    a = from_toeplitz(col, row)
+    assert a.toeplitz is None  # nonsymmetric data carries no tag
     rhs = rng.standard_normal((n, 2))
     dense = scipy.linalg.toeplitz(col, row)
-    assert np.allclose(solve(bare, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
-    assert np.allclose(solve_t(bare, rhs), np.linalg.solve(dense.T, rhs), rtol=0, atol=1e-12)
-    assert np.allclose(solve_t(bare, rhs), solve_t(tagged, rhs), rtol=0, atol=1e-12)
+    assert np.allclose(solve(a, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+    assert np.allclose(solve_t(a, rhs), np.linalg.solve(dense.T, rhs), rtol=0, atol=1e-12)
 
 
 SINGULAR = {
     "zero-untagged": TLMatrix(6, np.zeros((6, 2)), np.zeros((6, 2))),
-    "toeplitz-zero-minor": from_toeplitz([0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]),
     "toeplitz-symmetric-rank-one": from_toeplitz(np.ones(4)),
 }
 
@@ -391,6 +392,21 @@ def test_singular_solves_raise_singular_matrix(name):
                 solver(a, np.ones(a.n))
         with pytest.raises(SingularMatrix):
             invert(a)
+
+
+def test_nonsymmetric_toeplitz_with_zero_minor_solves():
+    # det = 4: a zero leading minor breaks Levinson, not the dense LU that
+    # serves every nonsymmetric matrix
+    col, row = [0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]
+    a = from_toeplitz(col, row)
+    dense = scipy.linalg.toeplitz(col, row)
+    rhs = np.arange(1.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(solve(a, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
+        assert np.allclose(solve_t(a, rhs), np.linalg.solve(dense.T, rhs), rtol=0,
+                           atol=1e-14)
+        assert np.allclose(to_dense(invert(a)), np.linalg.inv(dense), rtol=0, atol=1e-14)
 
 
 def test_invert_symmetric_overflowing_recursion_raises():
@@ -411,11 +427,10 @@ def test_invert_untagged_nonsymmetric():
     col = rng.uniform(-0.5, 0.5, n)
     row = rng.uniform(-0.5, 0.5, n)
     col[0] = row[0] = 3.0
-    tagged = from_toeplitz(col, row)
-    bare = TLMatrix(n, tagged.G, tagged.B)
+    a = from_toeplitz(col, row)
+    assert a.toeplitz is None  # nonsymmetric data carries no tag
     want = np.linalg.inv(scipy.linalg.toeplitz(col, row))
-    assert np.max(np.abs(to_dense(invert(bare)) - want)) <= 1e-10
-    assert np.max(np.abs(to_dense(invert(bare)) - to_dense(invert(tagged)))) <= 1e-12
+    assert np.max(np.abs(to_dense(invert(a)) - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [32, 64, 256])
@@ -424,7 +439,7 @@ def test_invert_untagged_symmetric_takes_general_formula(n):
     # formula through one LU; it must agree with the symmetric formula
     a = from_toeplitz(random_toeplitz_col(n, 37 + n))
     bare = TLMatrix(n, a.G, a.B)
-    assert a.symmetric and not bare.symmetric
+    assert a.toeplitz is not None and bare.toeplitz is None
     d = to_dense(a)
     cond = np.linalg.cond(d)
     inv = invert(bare)
@@ -473,13 +488,21 @@ def test_toeplitz_file_roundtrip(tmp_path):
     n = 10
     rng = np.random.default_rng(29)
     col = rng.uniform(-1, 1, n)
-    row = rng.uniform(-1, 1, n)
-    row[0] = col[0]
     path = tmp_path / "t.txt"
-    write_toeplitz(path, ToeplitzInput(col, row))
+    write_toeplitz(path, from_toeplitz(col))
     back = read_toeplitz(path)
-    assert np.array_equal(back.col, col)
-    assert np.array_equal(back.row, row)
+    assert np.array_equal(back.toeplitz, col)
+    assert np.array_equal(to_dense(back), scipy.linalg.toeplitz(col))
+
+
+def test_nonsymmetric_toeplitz_file_rejected(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("3\n4.0\n1.0\n0.0\n1.0\n0.5\n")
+    with pytest.raises(DomainError,
+                       match="first row entry 2 is 0.5 but first column entry 2 is 0.0"):
+        read_toeplitz(path)
+    with pytest.raises(DimensionError):
+        write_toeplitz(path, from_toeplitz([4.0, 1.0, 0.0], [4.0, 1.0, 0.5]))
 
 
 # --------------------------------------------------- rank rules, random sweep
