@@ -11,12 +11,12 @@ from .errors import (BoundInvalid, Breakdown, DegreeUnavailable,
                      MarktopError, NoConvergence, PencilError, PoleCollision,
                      PoleHit, PoleLocationError, RankDeficiency,
                      SingularMatrix)
-from .interp import (Barycentric, BaryKind, PartialFraction, RationalInterpolant,
+from .interp import (Barycentric, PartialFraction, RationalInterpolant,
                      ThieleCF, barycentric_fit, fit_interpolant,
                      interp_error_scan, loewner_pfd, thiele_fit)
-from .markov import (MarkovKind, MarkovSpec, check_hankel_definiteness,
-                     custom_spec, eval_markov, hankel_matrix, inv_sqrt_spec,
-                     log_spec, power_spec, taylor_coeffs, worst_case_spec)
+from .markov import (MarkovSpec, check_hankel_definiteness, custom_spec,
+                     eval_markov, hankel_matrix, inv_sqrt_spec, log_spec,
+                     power_spec, taylor_coeffs, worst_case_spec)
 from .matfun import (MatArg, MatFunResult, aposteriori_bound, auto_degree,
                      dense_arg, diag_arg, eval_rational_at_matrix, frac_power,
                      log_via_scaling, residual_sqrt, sqrt_db_newton, tl_arg)

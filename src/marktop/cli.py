@@ -9,13 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import experiments as ex
 from .approx import (apriori_bound, blaschke_eta, build_geometry,
                      optimal_nodes)
 from .errors import BoundInvalid, MarktopError
-from .markov import (custom_spec, inv_sqrt_spec, log_spec, power_spec)
+from .markov import inv_sqrt_spec, log_spec, power_spec
 from .tlalgebra import read_toeplitz, write_toeplitz
 
 EXIT_OK = 0
@@ -32,9 +30,6 @@ def _make_spec(args):
         if args.gamma is None:
             raise MarktopError("--gamma required for spec 'power'")
         return power_spec(args.gamma)
-    if args.spec == "constant":
-        return custom_spec(lambda z: np.full_like(np.asarray(z, dtype=float),
-                                                  args.value), -1.0, 0.0)
     raise MarktopError(f"unknown spec {args.spec!r}")
 
 
@@ -114,9 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scalar error scan on cosine points")
     p.add_argument("--spec", default="inv_sqrt",
-                   choices=["inv_sqrt", "log", "power", "constant"])
+                   choices=["inv_sqrt", "log", "power"])
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--value", type=float, default=1.0)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--m-min", type=int, default=1)
@@ -127,9 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matfun", help="matrix function experiment")
     p.add_argument("--spec", default="log",
-                   choices=["inv_sqrt", "log", "power", "constant"])
+                   choices=["inv_sqrt", "log", "power"])
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--value", type=float, default=1.0)
     p.add_argument("--matrix", default="random",
                    choices=["file", "random", "laplacian1d"])
     p.add_argument("--path", default=None)

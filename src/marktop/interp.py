@@ -1,5 +1,5 @@
-"""Rational interpolants of type [m-1|m] (and [m|m]) in three representations:
-Loewner partial fractions, barycentric, and Thiele continued fractions.
+"""Rational interpolants of type [m-1|m] in three representations: Loewner
+partial fractions, barycentric, and Thiele continued fractions.
 
 All constructors take ``samples``: a sequence of (z_j, f(z_j)) pairs with
 distinct real nodes ordered increasingly (beta < c <= z_1 < ... <= d).
@@ -7,7 +7,6 @@ distinct real nodes ordered increasingly (beta < c <= z_1 < ... <= d).
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ class PartialFraction:
 
     poles: tuple[float, ...]
     residuals: tuple[float, ...]
-    cauchy_cond: float = field(default=float("nan"), compare=False)
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=float)
@@ -42,11 +40,6 @@ class PartialFraction:
         return float(out) if np.ndim(z) == 0 else out
 
 
-class BaryKind(enum.Enum):
-    MM = "[m|m]"
-    M1M = "[m-1|m]"
-
-
 @dataclass(frozen=True)
 class Barycentric:
     """r(z) = sum f(t_j) w_j/(z-t_j) / sum w_j/(z-t_j)."""
@@ -54,7 +47,6 @@ class Barycentric:
     support: tuple[float, ...]
     weights: tuple[float, ...]
     values: tuple[float, ...]
-    kind: BaryKind
 
     def __call__(self, z):
         arr = np.atleast_1d(np.asarray(z, dtype=float))
@@ -76,16 +68,12 @@ class Barycentric:
 
 @dataclass(frozen=True)
 class ThieleCF:
-    """Interpolating continued fraction p_1 + (z-t_1)/(p_2 + (z-t_2)/(...)).
-
-    When ``reciprocal`` is set, the fraction was fitted to 1/f and the
-    evaluation returns the reciprocal of the convergent, giving a
-    type-[m-1|m] interpolant of f for an even number of nodes.
-    """
+    """Reciprocal of the interpolating continued fraction
+    p_1 + (z-t_1)/(p_2 + (z-t_2)/(...)) fitted to 1/f: a type-[m-1|m]
+    interpolant of f for an even number of nodes."""
 
     nodes: tuple[float, ...]       # after pivoting permutation
     params: tuple[float, ...]
-    reciprocal: bool
     positive: bool
     table: tuple[tuple[float, ...], ...] | None = field(default=None, compare=False)
 
@@ -97,8 +85,7 @@ class ThieleCF:
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(len(p) - 2, -1, -1):
                 r = p[j] + (arr - zt[j]) / r
-            if self.reciprocal:
-                r = 1.0 / r
+            r = 1.0 / r
         return float(r[0]) if np.ndim(z) == 0 else r.reshape(np.shape(z))
 
 
@@ -162,53 +149,42 @@ def loewner_pfd(samples, m: int, interval: tuple[float, float] | None = None) ->
     colscale[colscale == 0.0] = 1.0
     res, *_ = np.linalg.lstsq(cauchy / colscale, fs, rcond=None)
     res /= colscale
-    cond = float(np.linalg.cond(cauchy / colscale))
     if np.any(res <= 0.0):
         warnings.warn(f"nonpositive residuals (expected for Markov data): {res}",
                       stacklevel=2)
-    return PartialFraction(tuple(poles.tolist()), tuple(res.tolist()), cond)
+    return PartialFraction(tuple(poles.tolist()), tuple(res.tolist()))
 
 
-def barycentric_fit(samples, m: int, kind: BaryKind = BaryKind.M1M) -> Barycentric:
-    """Barycentric interpolant with weights from the nullspace of the
-    (bordered) Loewner system, support interlacing the remaining nodes."""
+def barycentric_fit(samples, m: int) -> Barycentric:
+    """Type-[m-1|m] barycentric interpolant with weights from the nullspace
+    of the bordered Loewner system, support interlacing the remaining nodes."""
     zs, fs = _split_samples(samples)
-    if kind is BaryKind.MM:
-        if len(zs) != 2 * m + 1:
-            raise InvalidInterval(f"kind [m|m] needs 2m+1 = {2 * m + 1} samples")
-        t, ft = zs[0::2], fs[0::2]
-        z_int, f_int = zs[1::2], fs[1::2]
-        rows = (f_int[:, None] - ft[None, :]) / (z_int[:, None] - t[None, :])
-    else:
-        if len(zs) != 2 * m:
-            raise InvalidInterval(f"kind [m-1|m] needs 2m = {2 * m} samples")
-        sup_idx = np.concatenate([[0], np.arange(1, 2 * m, 2)])
-        int_idx = np.arange(2, 2 * m - 1, 2)
-        t, ft = zs[sup_idx], fs[sup_idx]
-        z_int, f_int = zs[int_idx], fs[int_idx]
-        loew = (f_int[:, None] - ft[None, :]) / (z_int[:, None] - t[None, :])
-        # extra equation sum f(t_j) w_j = 0 pins the numerator degree to m-1
-        rows = np.vstack([loew, ft[None, :]])
+    if len(zs) != 2 * m:
+        raise InvalidInterval(f"need 2m = {2 * m} samples, got {len(zs)}")
+    sup_idx = np.concatenate([[0], np.arange(1, 2 * m, 2)])
+    int_idx = np.arange(2, 2 * m - 1, 2)
+    t, ft = zs[sup_idx], fs[sup_idx]
+    z_int, f_int = zs[int_idx], fs[int_idx]
+    loew = (f_int[:, None] - ft[None, :]) / (z_int[:, None] - t[None, :])
+    # extra equation sum f(t_j) w_j = 0 pins the numerator degree to m-1
+    rows = np.vstack([loew, ft[None, :]])
     _, sv, vt = np.linalg.svd(rows)
     if sv.size and sv[0] > 0.0:
         if sv.size >= 2 and sv[-2] > 0.0 and (sv[-2] - sv[-1]) <= 1e-12 * sv[-2]:
             raise RankDeficiency("nullspace of the interpolation system is not unique")
         w = vt[-1]
     else:
-        w = np.ones(len(t))  # zero system (constant data): any weights work
-    return Barycentric(tuple(t.tolist()), tuple(w.tolist()), tuple(ft.tolist()), kind)
+        w = np.ones(len(t))  # zero system (all-zero data): any weights work
+    return Barycentric(tuple(t.tolist()), tuple(w.tolist()), tuple(ft.tolist()))
 
 
-def thiele_fit(samples, reciprocal: bool = True, keep_table: bool = False) -> ThieleCF:
-    """Thiele continued fraction by reciprocal differences with the
+def thiele_fit(samples, keep_table: bool = False) -> ThieleCF:
+    """Thiele continued fraction of 1/f by reciprocal differences with the
     partial-pivoting reordering of the modified Thacher-Tukey algorithm."""
     zs, fs = _split_samples(samples)
-    if reciprocal:
-        if np.any(fs == 0.0):
-            raise Breakdown("reciprocal fit requires nonzero sample values")
-        vals = 1.0 / fs
-    else:
-        vals = fs.copy()
+    if np.any(fs == 0.0):
+        raise Breakdown("a Thiele fit of 1/f requires nonzero sample values")
+    vals = 1.0 / fs
     z_work = zs.copy()
     big_m = len(zs)
     params = np.empty(big_m)
@@ -226,8 +202,8 @@ def thiele_fit(samples, reciprocal: bool = True, keep_table: bool = False) -> Th
             if keep_table:
                 table.append(tuple(vals[j + 1:].tolist()))
     positive = bool(np.all(params > 0.0))
-    return ThieleCF(tuple(z_work.tolist()), tuple(params.tolist()), reciprocal,
-                    positive, tuple(table) if keep_table else None)
+    return ThieleCF(tuple(z_work.tolist()), tuple(params.tolist()), positive,
+                    tuple(table) if keep_table else None)
 
 
 def fit_interpolant(f, nodes, representation: str = "pfd",
@@ -240,13 +216,16 @@ def fit_interpolant(f, nodes, representation: str = "pfd",
     if representation == "pfd":
         rep = loewner_pfd(samples, m, interval=interval)
     elif representation == "barycentric":
-        rep = barycentric_fit(samples, m, BaryKind.M1M)
+        rep = barycentric_fit(samples, m)
     elif representation == "thiele":
-        rep = thiele_fit(samples, reciprocal=True)
+        rep = thiele_fit(samples)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     r = RationalInterpolant(rep, node_tuple)
-    resid = max(abs(1.0 - r(z) / fz) for z, fz in samples if fz != 0.0)
+    zs, fs = np.asarray(samples).T
+    nonzero = fs != 0.0
+    # fmax skips NaN entries
+    resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]))
     if resid > TOL_INTERP:
         warnings.warn(f"interpolation residual {resid:.2e} above {TOL_INTERP:.0e} "
                       f"({representation}, m={m})", stacklevel=2)

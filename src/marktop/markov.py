@@ -1,85 +1,99 @@
 """Catalog of Markov functions and the Hankel moment-definiteness check.
 
 A Markov function is the Cauchy transform of a positive measure supported
-on a real interval [alpha, beta] (alpha may be -inf).  The catalog covers
-the closed forms used throughout the package; arbitrary user evaluators
-are accepted through the ``CUSTOM`` kind.
+on a real interval [alpha, beta] (alpha may be -inf).  Each constructor
+supplies its function's evaluator and Taylor series; arbitrary user
+evaluators are accepted through ``custom_spec``.
 """
 
 from __future__ import annotations
 
-import enum
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidInterval
 
 
-class MarkovKind(enum.Enum):
-    INV_SQRT = "inv_sqrt"          # f(z) = 1/sqrt(z)
-    LOG_OVER_ZM1 = "log_over_zm1"  # f(z) = log(z)/(z-1)
-    POWER = "power"                # f(z) = z**gamma, gamma in [-1, 0)
-    WORST_CASE = "worst_case"      # equilibrium-measure transform on [alpha, beta]
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovSpec:
-    """A Markov function: support interval, kind and scalar evaluator.
+    """A Markov function: support interval, evaluator and Taylor series.
 
     ``alpha`` may be ``-inf``; ``beta`` is always finite and the function
-    is analytic, positive and strictly decreasing on (beta, +inf).
+    is analytic, positive and strictly decreasing on (beta, +inf).  ``f``
+    evaluates a float array of points z > beta; ``series(z0, count)``
+    returns the first ``count`` Taylor coefficients about z0 > beta.
     """
 
     alpha: float
     beta: float
-    kind: MarkovKind
-    gamma: float | None = None
-    evaluator: Callable[[float], float] | None = field(default=None, compare=False)
+    f: Callable[[np.ndarray], np.ndarray]
+    series: Callable[[float, int], np.ndarray]
 
     def __post_init__(self):
         if not self.alpha < self.beta:
             raise InvalidInterval(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
         if not math.isfinite(self.beta):
             raise InvalidInterval("beta must be finite")
-        if self.kind is MarkovKind.POWER:
-            if self.gamma is None or not -1.0 <= self.gamma < 0.0:
-                raise InvalidInterval(f"power exponent must lie in [-1, 0), got {self.gamma}")
-        if self.kind is MarkovKind.CUSTOM and self.evaluator is None:
-            raise InvalidInterval("custom spec requires an evaluator")
 
     def __call__(self, z):
         return eval_markov(self, z)
 
 
 def inv_sqrt_spec() -> MarkovSpec:
-    return MarkovSpec(-math.inf, 0.0, MarkovKind.INV_SQRT)
+    return MarkovSpec(-math.inf, 0.0, lambda z: 1.0 / np.sqrt(z),
+                      functools.partial(_power_series, -0.5))
 
 
 def log_spec() -> MarkovSpec:
-    return MarkovSpec(-math.inf, 0.0, MarkovKind.LOG_OVER_ZM1)
+    return MarkovSpec(-math.inf, 0.0, _log_over_zm1, _log_over_zm1_series)
 
 
 def power_spec(gamma: float) -> MarkovSpec:
-    return MarkovSpec(-math.inf, 0.0, MarkovKind.POWER, gamma=gamma)
+    """z**gamma for gamma in [-1, 0)."""
+    if not -1.0 <= gamma < 0.0:
+        raise InvalidInterval(f"power exponent must lie in [-1, 0), got {gamma}")
+    return MarkovSpec(-math.inf, 0.0, lambda z: z ** gamma,
+                      functools.partial(_power_series, gamma))
 
 
 def custom_spec(evaluator: Callable[[float], float], alpha: float, beta: float) -> MarkovSpec:
-    return MarkovSpec(alpha, beta, MarkovKind.CUSTOM, evaluator=evaluator)
+    """Spec of a user evaluator: called on the whole array first, and entry
+    by entry if that fails or returns the wrong shape."""
+    def f(z):
+        try:
+            out = np.asarray(evaluator(z), dtype=float)
+            if out.shape == z.shape:
+                return out
+        except Exception:
+            pass
+        return np.asarray([evaluator(float(t)) for t in z.ravel()]).reshape(z.shape)
+
+    return MarkovSpec(alpha, beta, f, functools.partial(_custom_series, evaluator, beta))
 
 
 def worst_case_spec(alpha: float, beta: float) -> MarkovSpec:
     """Spec of the worst-case Markov function for the interval [alpha, beta].
 
     f(z) = sqrt(|alpha|) / sqrt((z - alpha)(z - beta)) for finite alpha,
-    with the limit 1/sqrt(z - beta) as alpha -> -inf.
+    with the limit 1/sqrt(z - beta) as alpha -> -inf.  (z - shift)**(-1/2)
+    about z0 is z**(-1/2) about z0 - shift.
     """
-    if not alpha < beta:
-        raise InvalidInterval(f"need alpha < beta, got [{alpha}, {beta}]")
-    return MarkovSpec(alpha, beta, MarkovKind.WORST_CASE)
+    if math.isinf(alpha):
+        return MarkovSpec(alpha, beta, lambda z: 1.0 / np.sqrt(z - beta),
+                          lambda z0, count: _power_series(-0.5, z0 - beta, count))
+    scale = math.sqrt(abs(alpha))
+
+    def series(z0, count):
+        u = _power_series(-0.5, z0 - alpha, count)
+        v = _power_series(-0.5, z0 - beta, count)
+        return scale * np.convolve(u, v)[:count]
+
+    return MarkovSpec(alpha, beta, lambda z: scale / np.sqrt((z - alpha) * (z - beta)),
+                      series)
 
 
 def _log_over_zm1(z):
@@ -95,7 +109,7 @@ def _log_over_zm1(z):
 
 
 def eval_markov(spec: MarkovSpec, z):
-    """Evaluate a catalog Markov function at real z > beta.
+    """Evaluate a Markov function at real z > beta.
 
     Accepts scalars or arrays; raises DomainError if any argument lies
     in (-inf, beta].
@@ -103,24 +117,7 @@ def eval_markov(spec: MarkovSpec, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr <= spec.beta):
         raise DomainError(f"evaluation requires z > beta = {spec.beta}")
-    if spec.kind is MarkovKind.INV_SQRT:
-        out = 1.0 / np.sqrt(arr)
-    elif spec.kind is MarkovKind.LOG_OVER_ZM1:
-        out = _log_over_zm1(arr)
-    elif spec.kind is MarkovKind.POWER:
-        out = arr ** spec.gamma
-    elif spec.kind is MarkovKind.WORST_CASE:
-        if math.isinf(spec.alpha):
-            out = 1.0 / np.sqrt(arr - spec.beta)
-        else:
-            out = math.sqrt(abs(spec.alpha)) / np.sqrt((arr - spec.alpha) * (arr - spec.beta))
-    else:
-        try:
-            out = np.asarray(spec.evaluator(arr), dtype=float)
-            if out.shape != arr.shape:
-                raise TypeError
-        except Exception:
-            out = np.asarray([spec.evaluator(float(t)) for t in arr.ravel()]).reshape(arr.shape)
+    out = spec.f(arr)
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -166,18 +163,18 @@ def _log_over_zm1_series(z0: float, count: int) -> np.ndarray:
     return np.convolve(lg, inv)[:count]
 
 
-def _custom_series(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
+def _custom_series(evaluator, beta: float, z0: float, count: int) -> np.ndarray:
     """Numerical Taylor coefficients of a user evaluator about z0.
 
     Primary route: Cauchy coefficients over a circle of radius r via FFT,
     if the evaluator accepts complex arguments.  Fallback: Chebyshev fit
     on [z0 - r, z0 + r] with repeated differentiation.
     """
-    r = 0.45 * (z0 - spec.beta)
+    r = 0.45 * (z0 - beta)
     npts = max(64, 4 * count)
     theta = 2.0 * np.pi * np.arange(npts) / npts
     try:
-        vals = np.asarray([spec.evaluator(complex(z0 + r * np.exp(1j * t))) for t in theta],
+        vals = np.asarray([evaluator(complex(z0 + r * np.exp(1j * t))) for t in theta],
                           dtype=complex)
         coeffs = np.fft.fft(vals) / npts
         g = (coeffs[:count] / r ** np.arange(count)).real
@@ -186,7 +183,7 @@ def _custom_series(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
     except Exception:
         pass
     xs = z0 + r * np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
-    ys = np.asarray([spec.evaluator(float(x)) for x in xs])
+    ys = np.asarray([evaluator(float(x)) for x in xs])
     cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, deg=min(50, npts - 1))
     g = np.empty(count)
     for j in range(count):
@@ -199,20 +196,7 @@ def taylor_coeffs(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients of the spec's function about z0 > beta."""
     if z0 <= spec.beta:
         raise DomainError(f"expansion point must satisfy z0 > beta = {spec.beta}")
-    if spec.kind is MarkovKind.INV_SQRT:
-        return _power_series(-0.5, z0, count)
-    if spec.kind is MarkovKind.POWER:
-        return _power_series(spec.gamma, z0, count)
-    if spec.kind is MarkovKind.LOG_OVER_ZM1:
-        return _log_over_zm1_series(z0, count)
-    if spec.kind is MarkovKind.WORST_CASE:
-        # (z - shift)**(-1/2) about z0 is z**(-1/2) about z0 - shift
-        if math.isinf(spec.alpha):
-            return _power_series(-0.5, z0 - spec.beta, count)
-        u = _power_series(-0.5, z0 - spec.alpha, count)
-        v = _power_series(-0.5, z0 - spec.beta, count)
-        return math.sqrt(abs(spec.alpha)) * np.convolve(u, v)[:count]
-    return _custom_series(spec, z0, count)
+    return spec.series(z0, count)
 
 
 def hankel_matrix(spec: MarkovSpec, z0: float, n: int, ell: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -133,7 +133,7 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 
 def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
     """r(A) in the representation native to r: partial fractions sum shifted
-    inverses, barycentric forms P(A) Q(A)^{-1}, Thiele runs its backward
+    inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
     recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
     rep = r.rep if isinstance(r, RationalInterpolant) else r
     if isinstance(rep, PartialFraction):
@@ -155,9 +155,7 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
         for j in range(len(p) - 2, -1, -1):
             out = ops.add(ops.scale(ident, p[j]),
                           ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)))
-        if rep.reciprocal:
-            out = ops.inv(out)
-        return replace(a, data=out)
+        return replace(a, data=ops.inv(out))
     # barycentric: accumulate prod_{k != j} (A - t_k I) via prefix/suffix
     t = rep.support
     mlen = len(t)
@@ -314,11 +312,6 @@ class SqrtResult:
     residuals: tuple[float, ...]  # ||I - M_k|| after each step
     mus: tuple[float, ...]
     phase2_start: int
-    final_residual: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "final_residual",
-                           self.residuals[-1] if self.residuals else math.inf)
 
 
 _MAX_NEWTON = 25

@@ -89,8 +89,7 @@ def test_criterion_3_thiele_positivity_closed_form():
                   np.linspace(0.3, 2.0, 8),
                   optimal_nodes(build_geometry(-INF, 0.0, 0.5, 1.0), 3).nodes):
         nodes = np.asarray(nodes)
-        cf = thiele_fit([(z, z ** -0.5) for z in nodes], reciprocal=True,
-                        keep_table=True)
+        cf = thiele_fit([(z, z ** -0.5) for z in nodes], keep_table=True)
         z1 = cf.nodes[0]
         stage2 = np.asarray(cf.table[1])
         want = np.sqrt(np.asarray(cf.nodes[1:])) + math.sqrt(z1)
@@ -106,9 +105,8 @@ def test_criterion_3_thiele_positivity_closed_form():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cf = thiele_fit([(z, float(spec(z)))
-                                 for z in optimal_nodes(g, m).nodes],
-                                reciprocal=True)
-            assert cf.positive, (spec.kind, m)
+                                 for z in optimal_nodes(g, m).nodes])
+            assert cf.positive, (spec.f, m)
     print("criterion 3 PASS")
 
 
@@ -120,7 +118,7 @@ def test_criterion_4_backward_stability_envelope():
         nodes = optimal_nodes(g, m).nodes
         big_m = len(nodes)
         assert big_m <= 40
-        cf = thiele_fit([(z, z ** -0.5) for z in nodes], reciprocal=True)
+        cf = thiele_fit([(z, z ** -0.5) for z in nodes])
         if not cf.positive:
             continue
         envelope = 10.0 * 3.0 * big_m * EPS / (1.0 - 3.0 * big_m ** 2 * EPS)
@@ -139,7 +137,7 @@ def test_criterion_5_hankel_definiteness():
     for spec in catalog:
         for offset in (0.5, 1.0, 10.0):
             report = check_hankel_definiteness(spec, spec.beta + offset, 6)
-            assert report.passed, (spec.kind, offset)
+            assert report.passed, (spec.f, offset)
     # f(z) = z is not a Markov function and must fail
     poly = custom_spec(lambda z: np.asarray(z, dtype=float), -1.0, 0.0)
     assert not check_hankel_definiteness(poly, 2.0, 6).passed

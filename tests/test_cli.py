@@ -184,3 +184,15 @@ def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys)
 def test_power_spec_requires_gamma(capsys):
     rc = main(["scan", "--spec", "power", "--c", "0.5", "--d", "1"])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--c", "0.5", "--d", "1"],
+    ["matfun", "--matrix", "random", "--n", "16"],
+])
+def test_constant_spec_is_not_offered(command, capsys):
+    # a constant has f(inf) != 0, so it is not a Markov function
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--spec", "constant"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'constant'" in capsys.readouterr().err

@@ -259,6 +259,38 @@ def test_auto_degree_tl_residuals_nonzero_and_seed_independent():
     assert len(degrees) == 1
 
 
+def test_only_pfd_accurate_at_matrix_arguments():
+    # the paper's claim on inv_sqrt, spectrum [25, 139.2], n = 128: pfd meets
+    # its a priori bound at its accepted degree on every argument kind, up
+    # to the rounding of n-term sums (dense stops at m = 8, where the bound
+    # 1.95e-15 is below the rounding floor); barycentric does not
+    n = 128
+    t = gen_random_spd_toeplitz(n, 25.0, 139.2, 0)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    eigs = np.linalg.eigvalsh(dense)
+    c, d = eigs[0], eigs[-1]
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, c, d)
+    oracle = dense_f_oracle(spec, dense)
+    args = {"dense": (dense_arg(dense, c, d), oracle),
+            "diagonal": (diag_arg(eigs, c, d), np.diag(spec(eigs))),
+            "tl": (tl_arg(t, c, d), oracle)}
+    allowance = n * np.finfo(float).eps
+    err = {}
+    for rep, kinds in (("pfd", args), ("barycentric", ("dense", "tl"))):
+        for kind in kinds:
+            a, ref = args[kind]
+            res = auto_degree(spec, a, g, rep)
+            approx = mat_to_dense(res.approximation)
+            err[rep, kind] = np.linalg.norm(approx - ref, 2) / np.linalg.norm(ref, 2)
+            if rep == "pfd":
+                assert err[rep, kind] <= apriori_bound(g, res.m) + allowance, kind
+    # barycentric stalls at m = 4 on Toeplitz-like arguments (error 2e-7)
+    # and stops above the pfd rounding floor on dense ones
+    assert err["barycentric", "tl"] >= 1e5 * err["pfd", "tl"]
+    assert err["barycentric", "dense"] >= 10.0 * err["pfd", "dense"]
+
+
 def test_run_experiment_rows_match_auto_degree():
     # spectrum [1, 1e12]: 2 rho^2 >= 1, so m = 1 has no a priori bound
     t = gen_random_spd_toeplitz(24, 1.0, 1e12, 5)
