@@ -10,15 +10,14 @@ Blaschke products take the simple form prod (u - u_j) / (1 - u u_j).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import ellipj, ellipkm1
 
-from .elliptic import ellipk, jacobi_sn
 from .errors import BoundInvalid, DegenerateCondenser, DomainError, InvalidInterval
 from .markov import MarkovSpec, eval_markov
 
@@ -120,6 +119,16 @@ def cross_ratio(alpha: float, beta: float, c: float, d: float) -> float:
     return (c - alpha) * (d - beta) / ((c - beta) * (d - alpha))
 
 
+def ellipk(k: float) -> float:
+    """Complete elliptic integral K(k) in the modulus convention, 0 <= k < 1."""
+    return ellipkm1((1.0 - k) * (1.0 + k))
+
+
+def jacobi_sn(u, k: float):
+    """Jacobi sn(u, k) in the modulus convention, elementwise over u."""
+    return ellipj(u, k * k)[0]
+
+
 def condenser_rate(lam: float) -> float:
     """rho = exp(-1/cap([alpha,beta],[c,d])) expressed through the
     equivalent condenser ([-lam, lam], [1/lam, -1/lam]).
@@ -127,10 +136,11 @@ def condenser_rate(lam: float) -> float:
     The elliptic-integral quotient is calibrated so that 2 rho^(2m)
     matches the measured Blaschke maximum of the optimal nodes; see the
     validation tests exercising eta <= 2 rho^(2m) <= eta (1 + 1e-3).
+    K at the complementary modulus sqrt(1 - mu^2) is taken from its
+    parameter mu^2, so narrow intervals (small mu) lose no digits.
     """
     mu = lam * lam
-    mu_p = math.sqrt((1.0 - mu) * (1.0 + mu))
-    return math.exp(-math.pi * ellipk(mu_p) / (4.0 * ellipk(mu)))
+    return math.exp(-math.pi * ellipkm1(mu * mu) / (4.0 * ellipk(mu)))
 
 
 def build_geometry(alpha: float, beta: float, c: float, d: float) -> Geometry:
@@ -144,6 +154,9 @@ def build_geometry(alpha: float, beta: float, c: float, d: float) -> Geometry:
     x = cross_ratio(alpha, beta, c, d)
     k = 1.0 / math.sqrt(x)
     kappa = (1.0 - k) / (1.0 + k)
+    if kappa == 0.0:
+        raise DegenerateCondenser(f"[c, d] = [{c!r}, {d!r}] is too narrow for "
+                                  "double precision: kappa rounds to 0")
     sk = math.sqrt(k)
     lam = (1.0 - sk) / (1.0 + sk)
     rho = condenser_rate(lam)
@@ -225,8 +238,7 @@ def blaschke_eta(g: Geometry, nodes) -> float:
     return best
 
 
-@functools.lru_cache(maxsize=512)
-def _optimal_u(g: Geometry, m: int) -> tuple[float, ...]:
+def _optimal_u(g: Geometry, m: int) -> np.ndarray:
     """u-coordinates of the eta-minimizing nodes.
 
     The source formula reads sn(..., lambda^2), which is ambiguous between
@@ -239,7 +251,7 @@ def _optimal_u(g: Geometry, m: int) -> tuple[float, ...]:
     kk = ellipk(modulus)
     j = np.arange(1, 2 * m + 1)
     args = kk * (-1.0 + (2.0 * j - 1.0) / (2.0 * m))
-    return tuple(g.lam * np.array([jacobi_sn(a, modulus) for a in args]))
+    return g.lam * jacobi_sn(args, modulus)
 
 
 def optimal_nodes(g: Geometry, m: int) -> NodeSet:

@@ -10,9 +10,8 @@ import argparse
 import sys
 
 from . import experiments as ex
-from .approx import (apriori_bound, blaschke_eta, build_geometry,
-                     optimal_nodes)
-from .errors import BoundInvalid, MarktopError
+from .approx import bound_report, build_geometry, optimal_nodes
+from .errors import MarktopError
 from .markov import inv_sqrt_spec, log_spec, power_spec
 from .tlalgebra import read_toeplitz, write_toeplitz
 
@@ -36,18 +35,15 @@ def _make_spec(args):
 def cmd_nodes(args) -> int:
     g = build_geometry(args.alpha, args.beta, args.c, args.d)
     nodes = optimal_nodes(g, args.m)
-    eta = blaschke_eta(g, nodes)
-    two_rho = 2.0 * g.rho ** (2 * args.m)
+    rep = bound_report(g, args.m)
     print(f"geometry: k={g.k:.6g} kappa={g.kappa:.6g} lambda={g.lam:.6g} "
           f"rho={g.rho:.6g}")
     print("nodes:", " ".join(f"{z:.12g}" for z in nodes.nodes))
-    print(f"eta = {eta:.6e}")
-    print(f"lambda^(2m) = {g.lam ** (2 * args.m):.6e}")
-    print(f"2 rho^(2m) = {two_rho:.6e}")
-    try:
-        print(f"apriori = {apriori_bound(g, args.m):.6e}")
-    except BoundInvalid:
-        print("apriori = invalid")
+    print(f"eta = {rep.eta:.6e}")
+    print(f"lambda^(2m) = {rep.rate_single:.6e}")
+    print(f"2 rho^(2m) = {2.0 * g.rho ** (2 * args.m):.6e}")
+    apriori = "invalid" if rep.apriori is None else f"{rep.apriori:.6e}"
+    print(f"apriori = {apriori}")
     return EXIT_OK
 
 

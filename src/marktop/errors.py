@@ -17,10 +17,6 @@ class DegenerateCondenser(MarktopError):
     """The evaluation interval [c, d] collapses to a point."""
 
 
-class EllipticConvergenceError(MarktopError):
-    """AGM / Landen iteration failed to converge."""
-
-
 class BoundInvalid(MarktopError):
     """An error bound is requested outside its range of validity."""
 

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tlalgebra as tl
-from .approx import (Geometry, apriori_bound, blaschke_eta, build_geometry,
-                     optimal_nodes, stopping_threshold)
+from .approx import (Geometry, apriori_bound, build_geometry, optimal_nodes,
+                     relative_error_bound, stopping_threshold)
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
                      MarktopError, NoConvergence, PoleCollision)
 from .interp import PartialFraction, RationalInterpolant, ThieleCF, fit_interpolant
@@ -200,9 +200,6 @@ def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
     return _deviation(a, rwr)
 
 
-_ETA_APOST_MAX = (math.sqrt(2.0) - 1.0) ** 2
-
-
 def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     """(1+delta)/(1-delta) * || I - r_m(A) r_{m+m'}(A)^{-1} || + delta with
     delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp.  The factor
@@ -212,10 +209,7 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     nodes_mp = tuple(r_mp.nodes)
     if len(nodes_mp) <= len(nodes_m):
         raise BoundInvalid("reference interpolant must use strictly more nodes")
-    eta = blaschke_eta(g, nodes_mp)
-    if eta > _ETA_APOST_MAX:
-        raise BoundInvalid(f"eta = {eta:.3g} > (sqrt(2)-1)^2, bound not applicable")
-    delta = 4.0 * eta / (1.0 - eta) ** 2
+    delta = relative_error_bound(g, nodes_mp)
     if delta >= 1.0:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
     em = eval_rational_at_matrix(r_m, a).data

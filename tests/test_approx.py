@@ -1,13 +1,17 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from marktop.approx import (NodeSet, apriori_bound, blaschke_eta, bound_report,
-                            build_geometry, cross_ratio, disk_error_bound,
-                            moebius_T, moebius_T_inv, optimal_nodes, phi,
-                            phi_inv, relative_error_bound, stopping_threshold)
+                            build_geometry, condenser_rate, cross_ratio,
+                            disk_error_bound, moebius_T, moebius_T_inv,
+                            optimal_nodes, phi, phi_inv, relative_error_bound,
+                            stopping_threshold)
 from marktop.errors import (BoundInvalid, DegenerateCondenser, DomainError,
                             InvalidInterval)
 from marktop.markov import custom_spec
@@ -32,12 +36,45 @@ def test_geometry_unbounded_d_example():
 def test_degenerate_and_invalid():
     with pytest.raises(DegenerateCondenser):
         build_geometry(-INF, 0.0, 1.0, 1.0)
+    # too narrow for double precision: k = 1/sqrt(1 + 2^-52) rounds to 1
+    with pytest.raises(DegenerateCondenser):
+        build_geometry(-INF, 0.0, 1.0, 1.0 + 2.0 ** -52)
     with pytest.raises(InvalidInterval):
         build_geometry(0.0, -1.0, 1.0, 2.0)
     with pytest.raises(InvalidInterval):
         build_geometry(-INF, 2.0, 1.0, 4.0)
     with pytest.raises(DegenerateCondenser):
         cross_ratio(-INF, 0.0, 1.0, INF)
+
+
+@pytest.mark.parametrize("ratio", [1 + 1e-6, 1.0001, 1.0008, 1.001, 1.003,
+                                   1.01, 1.1, 10.0, 1e4])
+def test_condenser_rate_against_mpmath(ratio):
+    # a narrow [c, d] gives a small lambda, whose complementary modulus
+    # sqrt(1 - lambda^4) is 1 to double precision
+    g = build_geometry(-INF, 0.0, 1.0, ratio)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(g.lam) ** 4  # the parameter of the modulus lambda^2
+        want = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - p) / (4 * mpmath.ellipk(p)))
+    assert g.rho == condenser_rate(g.lam)
+    assert g.rho == pytest.approx(float(want), rel=1e-12)
+
+
+# The geometry depends on the endpoints only through their cross ratio, so
+# beta = 0 and c = 1 lose no generality.
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(finite_alpha=st.booleans(), log_gap=st.floats(-2.0, 4.0),
+       log_width=st.floats(-6.0, 8.0), m=st.integers(1, 20))
+def test_nodes_ordered_and_eta_within_calibrated_rate(finite_alpha, log_gap,
+                                                      log_width, m):
+    alpha = -(10.0 ** log_gap) if finite_alpha else -INF
+    g = build_geometry(alpha, 0.0, 1.0, 1.0 + 10.0 ** log_width)
+    nodes = np.array(optimal_nodes(g, m).nodes)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert g.c < nodes[0] and nodes[-1] < g.d
+    two_rho = 2.0 * g.rho ** (2 * m)
+    assume(two_rho >= 1e-300)
+    assert blaschke_eta(g, nodes) <= two_rho * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("geo", [(-INF, 0.0, 1.0, 4.0), (-1.0, 0.0, 0.5, 2.0),

@@ -7,6 +7,7 @@ import pytest
 
 from marktop import cli
 from marktop import tlalgebra as tl
+from marktop.approx import apriori_bound, build_geometry
 from marktop.cli import EXIT_CONFIG, EXIT_OK, main
 from marktop.errors import DimensionError
 from marktop.experiments import (CSV_HEADER, ExperimentConfig,
@@ -34,6 +35,14 @@ def test_nodes_bad_interval_exits_2(capsys):
     rc = main(["nodes", "--alpha=-inf", "--beta", "0", "--c", "2",
                "--d", "1", "--m", "4"])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("d, rc", [("1.0005", EXIT_OK),
+                                   ("1.0000000000000002", EXIT_CONFIG)])
+def test_nodes_narrow_interval(d, rc, capsys):
+    # 1 + 2^-52 is too narrow for double precision: DegenerateCondenser
+    assert main(["nodes", "--alpha=-inf", "--beta", "0", "--c", "1",
+                 "--d", d, "--m", "2"]) == rc
 
 
 # ------------------------------------------------------------------------ gen
@@ -196,3 +205,20 @@ def test_constant_spec_is_not_offered(command, capsys):
         main([*command, "--spec", "constant"])
     assert exc.value.code == EXIT_CONFIG
     assert "invalid choice: 'constant'" in capsys.readouterr().err
+
+
+def test_matfun_laplacian_power_case_ii_loosened_bounds(tmp_path, capsys):
+    out = tmp_path / "lap.csv"
+    rc = main(["matfun", "--matrix", "laplacian1d", "--n", "64", "--spec",
+               "power", "--gamma", "-0.5", "--case", "ii", "--reps", "pfd",
+               "--m-max", "8", "--output", str(out)])
+    assert rc == EXIT_OK
+    rows = read_csv(out)[1:]
+    assert [r[6] for r in rows] == ["true"] * 8
+    ev = np.linalg.eigvalsh(tl.to_dense(laplacian1d(64)))
+    # case ii runs on the loosened spectral interval [c/2, 2d]
+    g = build_geometry(-np.inf, 0.0, ev[0] / 2.0, 2.0 * ev[-1])
+    for r in rows:
+        m, rel_err, apr = int(r[2]), float(r[3]), float(r[4])
+        assert apr == pytest.approx(apriori_bound(g, m), rel=1e-6)
+        assert rel_err <= apr

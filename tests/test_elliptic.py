@@ -4,12 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from marktop.elliptic import agm, ellipk, jacobi_sn
-
-
-def test_agm_fixed_point():
-    assert agm(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert agm(1.0, 2.0) == pytest.approx(float(mpmath.agm(1, 2)), rel=1e-14)
+from marktop.approx import ellipk, jacobi_sn
 
 
 def test_ellipk_small_modulus():

@@ -129,6 +129,16 @@ def test_aposteriori_requires_more_nodes():
         aposteriori_bound(a, r, r, g)
 
 
+def test_aposteriori_invalid_when_reference_too_coarse():
+    # eta of r_2's nodes on [1, 1e6] is 0.185 > (sqrt(2) - 1)^2, so delta > 1
+    c, d = 1.0, 1e6
+    g, r_1 = markov_interpolant(c, d, 1)
+    _, r_2 = markov_interpolant(c, d, 2)
+    a = diag_arg(cosine_points(c, d, 30), c, d)
+    with pytest.raises(BoundInvalid, match="delta"):
+        aposteriori_bound(a, r_1, r_2, g)
+
+
 def test_aposteriori_dominates_true_error():
     c, d = 0.5, 1.0
     g = build_geometry(-INF, 0.0, c, d)
