@@ -133,8 +133,7 @@ def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
         approx = mf.eval_rational_at_matrix(r, arg)
         rel_err = math.nan
         if oracle is not None:
-            rel_err = float(np.linalg.norm(mf.mat_to_dense(approx) - oracle, 2)
-                            / oracle_norm)
+            rel_err = mf.spectral_norm(mf.mat_to_dense(approx) - oracle) / oracle_norm
         return rel_err, approx.data.width if arg.kind == "tl" else 0
 
     return [_row(config.case, rep, rec)
@@ -146,7 +145,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     arg, dense = _build_arg(config)
     if config.with_oracle and dense.shape[0] <= ORACLE_MAX_N:
         oracle = dense_f_oracle(config.spec, dense)
-        oracle_norm = float(np.linalg.norm(oracle, 2))
+        oracle_norm = mf.spectral_norm(oracle)
     else:
         oracle, oracle_norm = None, math.nan
     return [row for rep in config.reps

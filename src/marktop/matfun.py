@@ -17,12 +17,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from . import tlalgebra as tl
 from .approx import (Geometry, apriori_bound, build_geometry, optimal_nodes,
                      relative_error_bound, stopping_threshold)
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
-                     MarktopError, NoConvergence, PoleCollision)
+                     MarktopError, NoConvergence, PoleCollision, SingularMatrix)
 from .interp import PartialFraction, RationalInterpolant, ThieleCF, fit_interpolant
 from .markov import MarkovSpec, log_spec, power_spec, worst_case_spec
 
@@ -89,6 +91,35 @@ class Ops(NamedTuple):
     to_dense: Callable  # x -> ndarray
 
 
+def spectral_norm(x) -> float:
+    """sigma_max(X) = sqrt(lambda_max(X^T X)) for any real X, exact to
+    rounding: X is scaled by its largest entry, so X^T X neither overflows
+    nor underflows.  inf when X has a nonfinite entry."""
+    x = np.asarray(x, dtype=float)
+    s = float(np.max(np.abs(x)))
+    if not math.isfinite(s):
+        return math.inf
+    if s == 0.0:
+        return 0.0
+    y = x / s
+    n = y.shape[1]
+    lam = scipy.linalg.eigh(y.T @ y, eigvals_only=True, check_finite=False,
+                            subset_by_index=[n - 1, n - 1], driver="evr")
+    return s * math.sqrt(max(float(lam[0]), 0.0))
+
+
+def _dense_inv(x):
+    """x^{-1} by LAPACK getrf and getri, the latter with its optimal
+    (blocked) workspace; an exactly zero pivot raises SingularMatrix."""
+    lu, piv, info = lapack.dgetrf(x)
+    if info == 0:
+        lwork = int(lapack.dgetri_lwork(len(x))[0])
+        out, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    if info != 0:
+        raise SingularMatrix(f"dense inverse: LAPACK info = {info}")
+    return out
+
+
 # the tl entries look tlalgebra's functions up at call time, so wrappers
 # installed on the module after import take effect
 _OPS = {
@@ -97,9 +128,9 @@ _OPS = {
                  scale=lambda x, alpha: alpha * x,
                  add=lambda x, y: x + y,
                  mul=lambda x, y: x @ y,
-                 inv=np.linalg.inv,
+                 inv=_dense_inv,
                  apply=lambda x, v: x @ v,
-                 norm=lambda f, n: float(np.linalg.norm(f(np.eye(n)), 2)),
+                 norm=lambda f, n: spectral_norm(f(np.eye(n))),
                  to_dense=lambda x: x),
     "tl": Ops(n=lambda x: x.n,
               identity=lambda n: tl.identity_tl(n),
@@ -131,16 +162,23 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 # Interpolant evaluation at a matrix argument
 # ---------------------------------------------------------------------------
 
-def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
-    """r(A) in the representation native to r: partial fractions sum shifted
-    inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
-    recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
+def _checked_rep(r, a: MatArg):
+    """The native representation of r, after checking that no pole of a
+    partial-fraction r lies in the argument's [c, d]."""
     rep = r.rep if isinstance(r, RationalInterpolant) else r
     if isinstance(rep, PartialFraction):
         tol = 1e-10 * max(a.d - a.c, 1.0)
         for x in rep.poles:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
+    return rep
+
+
+def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
+    """r(A) in the representation native to r: partial fractions sum shifted
+    inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
+    recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
+    rep = _checked_rep(r, a)
     if a.kind == "diagonal":
         return replace(a, data=np.asarray(rep(a.data), dtype=float))
     ops = a.ops
@@ -281,19 +319,24 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
                 m_max: int = 20) -> MatFunResult:
     """Increase m while the worst-case residual stays below five times the
     a priori bound; return the last accepted degree (stop one before the
-    first violation)."""
-    history = []
-    prev = None
-    for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1),
-                            lambda r: eval_rational_at_matrix(r, a)):
+    first violation).  r_mu(A) is evaluated once, at that degree."""
+
+    def fitted(r_mu):
+        # a pole in [c, d] still rejects the degree, without any matrix work
+        _checked_rep(r_mu, a)
+        return r_mu
+
+    history, prev = [], None
+    for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1), fitted):
         history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
         if not rec.accepted:
-            if prev is None:
-                raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
-                                        f"{rec.threshold:.3g} already at m=1")
-            return MatFunResult(prev.value, prev.m, tuple(history), rep)
+            break
         prev = rec
-    return MatFunResult(prev.value, prev.m, tuple(history), rep, not_triggered=True)
+    if prev is None:
+        raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
+                                f"{rec.threshold:.3g} already at m=1")
+    return MatFunResult(eval_rational_at_matrix(prev.value, a), prev.m,
+                        tuple(history), rep, not_triggered=rec.accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ import pytest
 import scipy.linalg
 
 from marktop import (BoundInvalid, DegreeUnavailable, MatArg, PartialFraction,
-                     PoleCollision, aposteriori_bound, apriori_bound,
-                     auto_degree, build_geometry, dense_arg, diag_arg,
-                     eval_rational_at_matrix, fit_interpolant, frac_power,
-                     from_toeplitz, inv_sqrt_spec, log_spec, log_via_scaling,
-                     optimal_nodes, residual_sqrt, sqrt_db_newton, tl_arg,
-                     worst_case_spec)
+                     PoleCollision, SingularMatrix, aposteriori_bound,
+                     apriori_bound, auto_degree, build_geometry, dense_arg,
+                     diag_arg, eval_rational_at_matrix, fit_interpolant,
+                     frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
+                     log_via_scaling, optimal_nodes, residual_sqrt,
+                     sqrt_db_newton, tl_arg, worst_case_spec)
+from marktop import matfun
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
                                  gen_random_spd_toeplitz, run_experiment)
-from marktop.matfun import mat_to_dense
+from marktop.matfun import degree_sweep, mat_to_dense, spectral_norm
 from marktop.tlalgebra import to_dense
 
 INF = float("inf")
@@ -326,6 +327,68 @@ def test_run_experiment_rows_match_auto_degree():
         assert rep_rows[res.m - 1].rel_err == pytest.approx(err, rel=1e-12)
 
 
+def _kind_args():
+    t = gen_random_spd_toeplitz(32, 1.0, 50.0, 3)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    eigs = np.linalg.eigvalsh(dense)
+    return {"dense": dense_arg(dense, eigs[0], eigs[-1]),
+            "tl": tl_arg(t, eigs[0], eigs[-1]),
+            "diagonal": diag_arg(eigs)}
+
+
+@pytest.mark.parametrize("kind", ["dense", "tl", "diagonal"])
+@pytest.mark.parametrize("rep", ["pfd", "barycentric", "thiele"])
+def test_auto_degree_evaluates_r_mu_once(rep, kind, monkeypatch):
+    # one evaluation per degree inside residual_sqrt (r_nu) and one of r_mu
+    # at the returned degree, with the history of the eager sweep; every
+    # case stops at a rejected degree below m_max
+    a = _kind_args()[kind]
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    eval_r = matfun.eval_rational_at_matrix
+    calls = []
+
+    def counted(r, arg):
+        calls.append(r)
+        return eval_r(r, arg)
+
+    monkeypatch.setattr(matfun, "eval_rational_at_matrix", counted)
+    res = auto_degree(spec, a, g, rep, m_max=20)
+    monkeypatch.undo()
+    assert not res.not_triggered
+    assert len(calls) == len(res.history) + 1
+    r_mu = fit_interpolant(spec, optimal_nodes(g, res.m), rep,
+                           interval=(spec.alpha, spec.beta))
+    want = eval_rational_at_matrix(r_mu, a).data
+    got = res.approximation.data
+    if kind == "tl":
+        assert np.array_equal(got.G, want.G) and np.array_equal(got.B, want.B)
+    else:
+        assert np.array_equal(got, want)
+    eager = degree_sweep(spec, a, g, rep, range(1, len(res.history) + 1),
+                         lambda r: eval_rational_at_matrix(r, a))
+    assert res.history == tuple((rec.m, rec.residual, rec.apriori, rec.accepted)
+                                for rec in eager)
+
+
+def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
+    # a pfd r_mu with a pole in [c, d] still rejects its degree
+    a = _kind_args()["dense"]
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    fit = matfun.fit_interpolant
+
+    def bad_pole(s, nodes, rep, interval=None):
+        r = fit(s, nodes, rep, interval=interval)
+        if s is spec and nodes.m == 3:
+            return PartialFraction((a.c + 1.0,), (1.0,))
+        return r
+
+    monkeypatch.setattr(matfun, "fit_interpolant", bad_pole)
+    res = auto_degree(spec, a, g, "pfd", m_max=6)
+    assert res.m == 2 and res.history[2][1] == INF and not res.history[2][3]
+
+
 # --------------------------------------------------------------- sqrt_db_newton
 
 def test_newton_scalar_4i():
@@ -441,3 +504,43 @@ def test_frac_power_tl_argument():
     want = v @ np.diag(w ** (-1.0 / 3.0)) @ v.T
     err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2)
     assert err <= 1e-10 * np.linalg.norm(want, 2)
+
+
+# ------------------------------------------------------------- dense kernels
+
+@pytest.mark.parametrize("n", [1, 7, 96])
+def test_spectral_norm_matches_svd(n):
+    x = np.random.default_rng(n).standard_normal((n, n))
+    assert spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-13)
+
+
+def test_spectral_norm_at_rounding_floor_zero_and_nonfinite():
+    x = np.random.default_rng(0).standard_normal((40, 40))
+    x *= 1e-14 / np.linalg.norm(x, 2)
+    assert spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-13)
+    assert spectral_norm(np.zeros((5, 5))) == 0.0
+    bad = np.eye(4)
+    bad[1, 2] = np.nan
+    assert spectral_norm(bad) == INF
+    bad[1, 2] = INF
+    assert spectral_norm(bad) == INF
+    # a nonfinite residual operator reads inf, so its degree is rejected
+    ops = dense_arg(np.eye(4), 1.0, 1.0).ops
+    assert ops.norm(lambda v: np.full_like(v, np.nan), 4) == INF
+
+
+def test_dense_inverse_matches_solve():
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((50, 50))
+    for m in (x, x + x.T + 20.0 * np.eye(50)):  # nonsymmetric and SPD
+        inv = dense_arg(m, 1.0, 1.0).ops.inv(m)
+        want = np.linalg.solve(m, np.eye(50))
+        assert np.linalg.norm(inv - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("kind", ["dense", "tl"])
+def test_singular_inverse_raises_singular_matrix(kind):
+    a = (dense_arg(np.zeros((3, 3)), 1.0, 2.0) if kind == "dense"
+         else tl_arg(from_toeplitz(np.zeros(3)), 1.0, 2.0))
+    with pytest.raises(SingularMatrix):
+        sqrt_db_newton(a)
