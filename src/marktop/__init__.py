@@ -2,10 +2,9 @@
 quasi-optimal nodes, with certified relative-error bounds and
 displacement-structured matrix arithmetic."""
 
-from .approx import (Geometry, NodeSet, apriori_bound, blaschke_eta,
-                     build_geometry, condenser_rate, cross_ratio,
-                     disk_error_bound, optimal_nodes, relative_error_bound,
-                     stopping_threshold)
+from .approx import (Geometry, apriori_bound, blaschke_eta, build_geometry,
+                     condenser_rate, cross_ratio, disk_error_bound,
+                     optimal_nodes, relative_error_bound, stopping_threshold)
 from .errors import (BoundInvalid, Breakdown, DegreeUnavailable,
                      DimensionError, DomainError, InvalidInterval,
                      MarktopError, NoConvergence, PencilError, PoleCollision,

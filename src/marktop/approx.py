@@ -44,38 +44,15 @@ class Geometry:
     t_mat: tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class NodeSet:
-    """2m distinct interpolation nodes, sorted increasingly inside [c, d]."""
-
-    m: int
-    nodes: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.nodes) != 2 * self.m:
-            raise InvalidInterval(f"expected {2 * self.m} nodes, got {len(self.nodes)}")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    m: int
-    eta: float
-    apriori: float | None  # None when 2 rho^(2m) >= 1
-    rate_single: float     # lambda^(2m), the single-point Pade rate
-
-
 # ---------------------------------------------------------------------------
 # Moebius maps in projective form
 # ---------------------------------------------------------------------------
 
 def _to_zero_one_inf(p1: float, p2: float, p3: float) -> np.ndarray:
-    """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf)."""
+    """Matrix of the Moebius map sending (p1, p2, p3) to (0, 1, inf); only
+    p1 may be infinite."""
     if math.isinf(p1):
         return np.array([[0.0, p2 - p3], [1.0, -p3]])
-    if math.isinf(p2):
-        return np.array([[1.0, -p1], [1.0, -p3]])
-    if math.isinf(p3):
-        return np.array([[1.0, -p1], [0.0, p2 - p1]])
     return np.array([[p2 - p3, -p1 * (p2 - p3)], [p2 - p1, -p3 * (p2 - p1)]])
 
 
@@ -219,11 +196,10 @@ def blaschke_eta(g: Geometry, nodes) -> float:
     of the Blaschke product with zeros at the nodes, by a grid search over
     [-lam, lam] in the u-coordinate refined by a bounded local search.
 
-    ``nodes`` may be a NodeSet or any sequence of reals outside
-    [alpha, beta] (repetitions allowed, e.g. Pade configurations).
+    ``nodes`` is any sequence of reals outside [alpha, beta] (repetitions
+    allowed, e.g. Pade configurations).
     """
-    zs = nodes.nodes if isinstance(nodes, NodeSet) else tuple(nodes)
-    u_nodes = np.array([_node_u(g, z) for z in zs])
+    u_nodes = np.array([_node_u(g, z) for z in nodes])
     grid = g.lam * np.cos(np.pi * np.arange(_ETA_GRID) / (_ETA_GRID - 1))
     vals = _abs_blaschke(grid, u_nodes)
     i = int(np.argmax(vals))
@@ -254,13 +230,11 @@ def _optimal_u(g: Geometry, m: int) -> np.ndarray:
     return g.lam * jacobi_sn(args, modulus)
 
 
-def optimal_nodes(g: Geometry, m: int) -> NodeSet:
-    """The 2m quasi-optimal interpolation nodes in (c, d)."""
+def optimal_nodes(g: Geometry, m: int) -> tuple[float, ...]:
+    """The 2m quasi-optimal interpolation nodes in (c, d), increasing."""
     if m < 1:
         raise InvalidInterval("m must be >= 1")
-    u = _optimal_u(g, m)
-    zs = sorted(phi_inv(g, 1.0 / uj) for uj in u)
-    return NodeSet(m, tuple(zs))
+    return tuple(sorted(phi_inv(g, 1.0 / uj) for uj in _optimal_u(g, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +263,6 @@ def relative_error_bound(g: Geometry, nodes, positive_case: bool = False) -> flo
     if positive_case:
         return 4.0 * eta
     return 4.0 * eta / (1.0 - eta) ** 2
-
-
-def bound_report(g: Geometry, m: int) -> BoundReport:
-    eta = blaschke_eta(g, optimal_nodes(g, m))
-    try:
-        apr = apriori_bound(g, m)
-    except BoundInvalid:
-        apr = None
-    return BoundReport(m, eta, apr, g.lam ** (2 * m))
 
 
 _DISK_GRID = 4001

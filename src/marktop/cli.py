@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from . import experiments as ex
-from .approx import bound_report, build_geometry, optimal_nodes
-from .errors import MarktopError
+from .approx import apriori_bound, blaschke_eta, build_geometry, optimal_nodes
+from .errors import BoundInvalid, MarktopError
 from .markov import inv_sqrt_spec, log_spec, power_spec
 from .tlalgebra import read_toeplitz, write_toeplitz
 
@@ -25,24 +25,25 @@ def _make_spec(args):
         return inv_sqrt_spec()
     if args.spec == "log":
         return log_spec()
-    if args.spec == "power":
-        if args.gamma is None:
-            raise MarktopError("--gamma required for spec 'power'")
-        return power_spec(args.gamma)
-    raise MarktopError(f"unknown spec {args.spec!r}")
+    if args.gamma is None:
+        raise MarktopError("--gamma required for spec 'power'")
+    return power_spec(args.gamma)
 
 
 def cmd_nodes(args) -> int:
     g = build_geometry(args.alpha, args.beta, args.c, args.d)
     nodes = optimal_nodes(g, args.m)
-    rep = bound_report(g, args.m)
+    eta = blaschke_eta(g, nodes)
+    try:
+        apriori = f"{apriori_bound(g, args.m):.6e}"
+    except BoundInvalid:
+        apriori = "invalid"
     print(f"geometry: k={g.k:.6g} kappa={g.kappa:.6g} lambda={g.lam:.6g} "
           f"rho={g.rho:.6g}")
-    print("nodes:", " ".join(f"{z:.12g}" for z in nodes.nodes))
-    print(f"eta = {rep.eta:.6e}")
-    print(f"lambda^(2m) = {rep.rate_single:.6e}")
+    print("nodes:", " ".join(f"{z:.12g}" for z in nodes))
+    print(f"eta = {eta:.6e}")
+    print(f"lambda^(2m) = {g.lam ** (2 * args.m):.6e}")
     print(f"2 rho^(2m) = {2.0 * g.rho ** (2 * args.m):.6e}")
-    apriori = "invalid" if rep.apriori is None else f"{rep.apriori:.6e}"
     print(f"apriori = {apriori}")
     return EXIT_OK
 
@@ -64,9 +65,7 @@ def _load_matrix(args):
         return read_toeplitz(args.path)
     if args.matrix == "random":
         return ex.gen_random_spd_toeplitz(args.n, args.lmin, args.lmax, args.seed)
-    if args.matrix == "laplacian1d":
-        return ex.laplacian1d(args.n)
-    raise MarktopError(f"unknown matrix source {args.matrix!r}")
+    return ex.laplacian1d(args.n)
 
 
 def cmd_matfun(args) -> int:

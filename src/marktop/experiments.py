@@ -32,8 +32,9 @@ def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
                             seed: int) -> tl.TLMatrix:
     """Seeded random symmetric Toeplitz with its spectrum affinely shifted
     so the extreme eigenvalues land on [lmin, lmax]."""
-    if not 0 < lmin < lmax:
-        raise DimensionError(f"need 0 < lmin < lmax, got [{lmin}, {lmax}]")
+    if n < 2 or not 0 < lmin < lmax:
+        raise DimensionError(f"need n >= 2 and 0 < lmin < lmax, got n = {n}, "
+                             f"[{lmin}, {lmax}]")
     rng = np.random.default_rng(seed)
     col = rng.uniform(-1.0, 1.0, n)
     ev = np.linalg.eigvalsh(scipy.linalg.toeplitz(col))

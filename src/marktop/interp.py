@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .approx import NodeSet
-from .errors import (Breakdown, InvalidInterval, PencilError, PoleHit,
-                     PoleLocationError, RankDeficiency)
+from .errors import (Breakdown, DimensionError, InvalidInterval, PencilError,
+                     PoleHit, PoleLocationError, RankDeficiency)
 
+REPRESENTATIONS = ("pfd", "barycentric", "thiele")
 TOL_INTERP = 1e-10
 TOL_IMAG = 1e-8
 TINY = 1e-300
@@ -209,20 +209,21 @@ def thiele_fit(samples, keep_table: bool = False) -> ThieleCF:
 def fit_interpolant(f, nodes, representation: str = "pfd",
                     interval: tuple[float, float] | None = None) -> RationalInterpolant:
     """Fit a type-[m-1|m] interpolant of the callable ``f`` on 2m nodes in
-    the requested representation ("pfd" | "barycentric" | "thiele")."""
-    node_tuple = tuple(nodes.nodes if isinstance(nodes, NodeSet) else nodes)
-    samples = [(z, float(f(z))) for z in node_tuple]
-    m = len(node_tuple) // 2
+    the requested representation ("pfd" | "barycentric" | "thiele"), with
+    f called once on the array of nodes."""
+    if representation not in REPRESENTATIONS:
+        raise DimensionError(f"unknown representation {representation!r}")
+    zs = np.asarray(nodes, dtype=float)
+    fs = np.asarray(f(zs), dtype=float)
+    samples = np.column_stack([zs, fs])
+    m = len(zs) // 2
     if representation == "pfd":
         rep = loewner_pfd(samples, m, interval=interval)
     elif representation == "barycentric":
         rep = barycentric_fit(samples, m)
-    elif representation == "thiele":
-        rep = thiele_fit(samples)
     else:
-        raise ValueError(f"unknown representation {representation!r}")
-    r = RationalInterpolant(rep, node_tuple)
-    zs, fs = np.asarray(samples).T
+        rep = thiele_fit(samples)
+    r = RationalInterpolant(rep, tuple(zs.tolist()))
     nonzero = fs != 0.0
     # fmax skips NaN entries
     resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]))

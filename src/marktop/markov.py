@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidInterval
+from .errors import DimensionError, DomainError, InvalidInterval
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +203,7 @@ def hankel_matrix(spec: MarkovSpec, z0: float, n: int, ell: int) -> np.ndarray:
     """Hankel matrix of size n+1 with entries g_{i+j+ell} of the Taylor
     coefficients of the spec's function about z0."""
     if n < 0 or ell < 0:
-        raise ValueError("n and ell must be nonnegative")
+        raise DimensionError(f"n and ell must be nonnegative, got n = {n}, ell = {ell}")
     g = taylor_coeffs(spec, z0, 2 * n + ell + 1)
     idx = np.add.outer(np.arange(n + 1), np.arange(n + 1)) + ell
     return g[idx]

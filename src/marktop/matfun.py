@@ -24,8 +24,10 @@ from . import tlalgebra as tl
 from .approx import (Geometry, apriori_bound, build_geometry, optimal_nodes,
                      relative_error_bound, stopping_threshold)
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
-                     MarktopError, NoConvergence, PoleCollision, SingularMatrix)
-from .interp import PartialFraction, RationalInterpolant, ThieleCF, fit_interpolant
+                     InvalidInterval, MarktopError, NoConvergence,
+                     PoleCollision, SingularMatrix)
+from .interp import (REPRESENTATIONS, PartialFraction, RationalInterpolant,
+                     ThieleCF, fit_interpolant)
 from .markov import MarkovSpec, log_spec, power_spec, worst_case_spec
 
 _EPS = np.finfo(float).eps
@@ -273,12 +275,16 @@ class DegreeRecord:
 
 def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
                  measure):
-    """For each m in ms fit r_m of spec and of the worst-case function at
-    the quasi-optimal nodes, apply measure to r_m and certify it with the
-    worst-case residual on a; yield one DegreeRecord per degree.
+    """For each m in the sequence ms fit r_m of spec and of the worst-case
+    function at the quasi-optimal nodes, apply measure to r_m and certify
+    it with the worst-case residual on a; yield one DegreeRecord per degree.
 
     The geometry's [c, d] must enclose the argument's own [c, d]: a looser
     one only makes the bounds pessimistic, a tighter one voids them."""
+    if rep not in REPRESENTATIONS:
+        raise DimensionError(f"unknown representation {rep!r}")
+    if not ms or min(ms) < 1:
+        raise InvalidInterval(f"degrees must be >= 1, got {ms!r}")
     if not (g.c <= a.c and a.d <= g.d):
         raise BoundInvalid(f"geometry [c, d] = [{g.c:.6g}, {g.d:.6g}] does not "
                            f"enclose the argument's [{a.c:.6g}, {a.d:.6g}]")

@@ -14,7 +14,7 @@ Matrices that are exactly symmetric Toeplitz (or shifted symmetric
 Toeplitz) additionally carry their first column, so linear solves use the
 Levinson recursion without ever forming dense n x n arrays and an inverse
 costs one Levinson recursion plus FFT products (Gohberg-Semencul).  Every
-other solve goes through one dense LU factorization.
+other inverse goes through one dense LU factorization.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class TLMatrix:
     """Immutable Toeplitz-like matrix in generator form.
 
     ``toeplitz`` carries the first column when the matrix is exactly
-    symmetric Toeplitz.  Solves and inverses choose their method from that
-    tag alone: Levinson and the Gohberg-Semencul inverse for tagged
+    symmetric Toeplitz.  Solves need that tag (Levinson); inverses choose
+    their method from it alone: the Gohberg-Semencul inverse for tagged
     matrices, one dense LU otherwise.
     """
 
@@ -145,38 +145,35 @@ class TLMatrix:
         return _forward(self.B[::-1].T, skew=True)
 
 
-def from_toeplitz(col, row=None) -> TLMatrix:
-    """Generator pair of a Toeplitz matrix from its first column and row
-    (the column again when row is None), tagged with the column when the
-    two are equal.
+def _require_finite(name: str, v: np.ndarray):
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise DomainError(f"first {name} entry {bad[0]} is {v[bad[0]]}, "
+                          "Toeplitz entries must be finite")
+
+
+def from_toeplitz(col) -> TLMatrix:
+    """Generator pair of the symmetric Toeplitz matrix with first column
+    col, tagged with that column.
 
     The displacement of a Toeplitz matrix is e1 r^T + s en^T with entries
     read off the defining diagonals, so the width is exactly 2.
     """
     col = np.asarray(col, dtype=float)
-    row = col if row is None else np.asarray(row, dtype=float)
-    # finite entries first: a nan corner never equals itself
-    for name, v in (("column", col), ("row", row)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise DomainError(f"first {name} entry {bad[0]} is {v[bad[0]]}, "
-                              "Toeplitz entries must be finite")
-    if len(col) != len(row) or col[0] != row[0]:
-        raise DimensionError("first column/row must agree in length and corner")
+    _require_finite("column", col)
     n = len(col)
-    # with t_k = col[k] (k >= 0), row[-k] (k < 0):
-    # r_{j-1} = t_{n-j} - t_{-j} (j < n), r_{n-1} = 2 t_0;
-    # s_0 = 0, s_{i-1} = t_{i-1-n} + t_{i-1} (i >= 2)
-    r_vec = np.append(col[:0:-1] - row[1:], 2.0 * col[0])
-    s_vec = np.append(0.0, row[:0:-1] + col[1:])
+    # with t_k = t_{-k} = col[k]:
+    # r_{j-1} = t_{n-j} - t_j (j < n), r_{n-1} = 2 t_0;
+    # s_0 = 0, s_{i-1} = t_{n+1-i} + t_{i-1} (i >= 2)
+    r_vec = np.append(col[:0:-1] - col[1:], 2.0 * col[0])
+    s_vec = np.append(0.0, col[:0:-1] + col[1:])
     e1 = np.zeros(n)
     e1[0] = 1.0
     en = np.zeros(n)
     en[-1] = 1.0
     g = np.column_stack([e1, s_vec])
     b = np.column_stack([r_vec, en])
-    tag = col.copy() if np.array_equal(col, row) else None
-    return TLMatrix(n, g, b, toeplitz=tag)
+    return TLMatrix(n, g, b, toeplitz=col.copy())
 
 
 def identity_tl(n: int) -> TLMatrix:
@@ -289,33 +286,15 @@ def _levinson(col, rhs):
 
 
 def solve(a: TLMatrix, rhs):
-    """Solve A x = rhs, using the Levinson recursion when A carries the
-    symmetric Toeplitz tag and one dense LU otherwise."""
-    rhs = np.asarray(rhs, dtype=float)
-    if a.toeplitz is not None:
-        return _levinson(a.toeplitz, rhs)
-    return scipy.linalg.lu_solve(_lu_factor(a), rhs)
+    """Solve A x = rhs by the Levinson recursion on a tagged A; an untagged
+    matrix is inverted, not solved."""
+    if a.toeplitz is None:
+        raise DimensionError("solve needs a tagged matrix; invert an untagged one")
+    return _levinson(a.toeplitz, np.asarray(rhs, dtype=float))
 
 
-def solve_t(a: TLMatrix, rhs):
-    """Solve A^T x = rhs: a tagged A is its own transpose, and otherwise the
-    LU of A serves through its transposed solve."""
-    if a.toeplitz is not None:
-        return solve(a, rhs)
-    rhs = np.asarray(rhs, dtype=float)
-    return scipy.linalg.lu_solve(_lu_factor(a), rhs, trans=1)
-
-
-def _lu_factor(a: TLMatrix):
-    """LU factors of the dense A.  lu_factor only warns on an exact zero
-    pivot; here that raises SingularMatrix instead."""
-    dense = to_dense(a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(dense, overwrite_a=True)
-    if not np.all(np.diagonal(lu)):
-        raise SingularMatrix("exactly zero pivot in the LU factorization")
-    return lu, piv
+# a tagged matrix is its own transpose
+solve_t = solve
 
 
 def _gohberg_semencul(x, y):
@@ -365,7 +344,12 @@ def invert(a: TLMatrix) -> TLMatrix:
         return compress(TLMatrix(n, g, b))
     en = np.zeros((n, 1))
     en[-1] = 1.0
-    lu = _lu_factor(a)
+    # lu_factor only warns on an exact zero pivot; that raises here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(to_dense(a), overwrite_a=True)
+    if not np.all(np.diagonal(lu[0])):
+        raise SingularMatrix("exactly zero pivot in the LU factorization")
     x = scipy.linalg.lu_solve(lu, np.hstack([a.G, e1]))
     xt = scipy.linalg.lu_solve(lu, np.hstack([a.B, en]), trans=1)
     g = np.hstack([-x[:, :r], e1, 2.0 * x[:, r:]])
@@ -409,12 +393,14 @@ def read_toeplitz(path) -> TLMatrix:
         raise DimensionError(f"expected {2 * n - 1} entries, got {len(vals)}")
     col = vals[:n]
     row = np.concatenate([[col[0]], vals[n:]])
-    a = from_toeplitz(col, row)
-    if a.toeplitz is None:
+    # finite entries first: a nan never equals itself
+    _require_finite("column", col)
+    _require_finite("row", row)
+    if not np.array_equal(row, col):
         k = np.flatnonzero(row != col)[0]
         raise DomainError(f"first row entry {k} is {row[k]} but first column "
                           f"entry {k} is {col[k]}, the matrix must be symmetric")
-    return a
+    return from_toeplitz(col)
 
 
 def write_toeplitz(path, a: TLMatrix):

@@ -87,7 +87,7 @@ def test_criterion_3_thiele_positivity_closed_form():
     # stage-2 reciprocal differences of 1/sqrt(z) are sqrt(z_k) + sqrt(z_1)
     for nodes in (np.array([1.0, 4.0, 9.0, 16.0]),
                   np.linspace(0.3, 2.0, 8),
-                  optimal_nodes(build_geometry(-INF, 0.0, 0.5, 1.0), 3).nodes):
+                  optimal_nodes(build_geometry(-INF, 0.0, 0.5, 1.0), 3)):
         nodes = np.asarray(nodes)
         cf = thiele_fit([(z, z ** -0.5) for z in nodes], keep_table=True)
         z1 = cf.nodes[0]
@@ -105,7 +105,7 @@ def test_criterion_3_thiele_positivity_closed_form():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cf = thiele_fit([(z, float(spec(z)))
-                                 for z in optimal_nodes(g, m).nodes])
+                                 for z in optimal_nodes(g, m)])
             assert cf.positive, (spec.f, m)
     print("criterion 3 PASS")
 
@@ -115,7 +115,7 @@ def test_criterion_4_backward_stability_envelope():
     g = build_geometry(-INF, 0.0, 1e-3, 1.0)
     checked = 0
     for m in (2, 5, 10, 15, 20):
-        nodes = optimal_nodes(g, m).nodes
+        nodes = optimal_nodes(g, m)
         big_m = len(nodes)
         assert big_m <= 40
         cf = thiele_fit([(z, z ** -0.5) for z in nodes])

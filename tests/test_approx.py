@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from marktop.approx import (NodeSet, apriori_bound, blaschke_eta, bound_report,
-                            build_geometry, condenser_rate, cross_ratio,
-                            disk_error_bound, moebius_T, moebius_T_inv,
-                            optimal_nodes, phi, phi_inv, relative_error_bound,
-                            stopping_threshold)
+from marktop.approx import (apriori_bound, blaschke_eta, build_geometry,
+                            condenser_rate, cross_ratio, disk_error_bound,
+                            moebius_T, moebius_T_inv, optimal_nodes, phi,
+                            phi_inv, relative_error_bound, stopping_threshold)
 from marktop.errors import (BoundInvalid, DegenerateCondenser, DomainError,
                             InvalidInterval)
 from marktop.markov import custom_spec
@@ -69,7 +68,7 @@ def test_nodes_ordered_and_eta_within_calibrated_rate(finite_alpha, log_gap,
                                                       log_width, m):
     alpha = -(10.0 ** log_gap) if finite_alpha else -INF
     g = build_geometry(alpha, 0.0, 1.0, 1.0 + 10.0 ** log_width)
-    nodes = np.array(optimal_nodes(g, m).nodes)
+    nodes = np.array(optimal_nodes(g, m))
     assert np.all(np.diff(nodes) > 0.0)
     assert g.c < nodes[0] and nodes[-1] < g.d
     two_rho = 2.0 * g.rho ** (2 * m)
@@ -118,7 +117,7 @@ def test_phi_T_identity_on_grid():
 
 def test_optimal_nodes_w_symmetry_m1():
     g = build_geometry(-INF, 0.0, 1.0, 4.0)
-    z1, z2 = optimal_nodes(g, 1).nodes
+    z1, z2 = optimal_nodes(g, 1)
     assert 1.0 / phi(g, z1) == pytest.approx(-1.0 / phi(g, z2), rel=1e-10)
 
 
@@ -126,7 +125,7 @@ def test_optimal_nodes_trigonometric_limit():
     # lambda -> 0: sn(K(0) t, 0) = sin(pi t / 2)
     g = build_geometry(-INF, 0.0, 1.0, 1.0 + 1e-6)
     m = 3
-    u = np.sort([1.0 / phi(g, z) for z in optimal_nodes(g, m).nodes])
+    u = np.sort([1.0 / phi(g, z) for z in optimal_nodes(g, m)])
     j = np.arange(1, 2 * m + 1)
     want = np.sort(g.lam * np.sin(np.pi / 2.0 * (-1.0 + (2.0 * j - 1.0) / (2.0 * m))))
     assert u == pytest.approx(want, rel=1e-7)
@@ -164,7 +163,7 @@ def test_eta_grid_oracle_agreement():
     # independent dense-grid maximization of the Blaschke product
     g = build_geometry(-INF, 0.0, 1.0, 100.0)
     nodes = optimal_nodes(g, 3)
-    ws = np.array([phi(g, z) for z in nodes.nodes])
+    ws = np.array([phi(g, z) for z in nodes])
     zs = np.linspace(g.c, g.d, 200001)
     w = np.array([phi(g, z) for z in zs])
     prod = np.ones_like(w)
@@ -181,7 +180,7 @@ def test_eta_moebius_invariance(trans):
     pts = [trans(p) for p in (-1.0, 0.0, 1.0, 4.0)]
     g2 = build_geometry(*pts)
     eta1 = blaschke_eta(g1, nodes)
-    eta2 = blaschke_eta(g2, [trans(z) for z in nodes.nodes])
+    eta2 = blaschke_eta(g2, [trans(z) for z in nodes])
     assert eta2 == pytest.approx(eta1, rel=1e-9)
 
 
@@ -210,19 +209,6 @@ def test_relative_error_bound_formulas():
     eta = blaschke_eta(g, nodes)
     assert relative_error_bound(g, nodes, positive_case=True) == pytest.approx(4.0 * eta)
     assert relative_error_bound(g, nodes) == pytest.approx(4.0 * eta / (1.0 - eta) ** 2)
-
-
-def test_bound_report_fields():
-    g = build_geometry(-INF, 0.0, 1.0, 4.0)
-    rep = bound_report(g, 3)
-    assert rep.m == 3
-    assert 0.0 <= rep.eta < 1.0
-    assert rep.rate_single == pytest.approx(g.lam ** 6)
-
-
-def test_nodeset_validation():
-    with pytest.raises(InvalidInterval):
-        NodeSet(2, (1.0, 2.0))  # needs 2m = 4 nodes
 
 
 def test_disk_error_bound():

@@ -1,6 +1,7 @@
 """Command line interface and experiment drivers."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -65,8 +66,29 @@ def test_gen_random_spd_toeplitz_validates():
         gen_random_spd_toeplitz(16, 5.0, 1.0, 0)
 
 
+def test_gen_random_spd_toeplitz_rejects_n_below_2():
+    # n = 1 has one eigenvalue: the affine map onto [lmin, lmax] divides by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DimensionError, match="got n = 1,"):
+            gen_random_spd_toeplitz(1, 1.0, 2.0, 0)
+
+
+@pytest.mark.parametrize("command", [["gen", "--lmin", "1", "--lmax", "2"],
+                                     ["matfun", "--matrix", "random"]])
+def test_n_1_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([*command, "--n", "1", "--output", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "got n = 1," in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_source_must_be_tagged():
-    nonsymmetric = tl.from_toeplitz([4.0, 1.0, 0.0], [4.0, 0.5, 0.0])
+    nonsymmetric = tl.multiply(tl.from_toeplitz([4.0, 1.0, 0.0]),
+                               tl.from_toeplitz([4.0, 0.5, 0.0]))
     with pytest.raises(DimensionError, match="symmetric Toeplitz"):
         ExperimentConfig(inv_sqrt_spec(), nonsymmetric, "i")
 
@@ -89,6 +111,22 @@ def test_scan_csv(tmp_path, capsys):
     assert len(rows) == 7  # header + one row per m
     errs = [float(r[3]) for r in rows[1:]]
     assert min(errs) <= 1e-10  # fast convergence on an easy interval
+
+
+@pytest.mark.parametrize("command, error", [
+    (["scan", "--c", "0.5", "--d", "1", "--m-max", "3", "--reps", "pfd,foo"],
+     "unknown representation 'foo'"),
+    (["matfun", "--n", "16", "--m-max", "3", "--reps", "pfd,bary"],
+     "unknown representation 'bary'"),
+    (["scan", "--c", "0.5", "--d", "1", "--m-min", "0", "--m-max", "3"],
+     "degrees must be >= 1, got range(0, 4)"),
+    (["matfun", "--n", "16", "--m-max", "0"], "degrees must be >= 1, got range(1, 1)"),
+], ids=["scan-unknown-rep", "matfun-unknown-rep", "scan-m-min-0", "matfun-m-max-0"])
+def test_bad_representation_or_degree_range_exits_2(command, error, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*command, "--output", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {error}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- matfun

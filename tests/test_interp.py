@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marktop import (Barycentric, Breakdown, InvalidInterval,
+from marktop import (Barycentric, Breakdown, DimensionError, InvalidInterval,
                      PartialFraction, PoleHit, RankDeficiency, ThieleCF,
                      apriori_bound, barycentric_fit, build_geometry,
                      fit_interpolant, interp_error_scan, inv_sqrt_spec,
@@ -41,7 +41,7 @@ def test_loewner_exact_degree_0_1():
 
 def test_loewner_m3_inv_sqrt_interpolates():
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
-    nodes = optimal_nodes(g, 3).nodes
+    nodes = optimal_nodes(g, 3)
     samples = [(z, 1.0 / math.sqrt(z)) for z in nodes]
     pfd = loewner_pfd(samples, 3)
     resid = max(abs(1.0 - pfd(z) / fz) for z, fz in samples)
@@ -52,7 +52,7 @@ def test_loewner_pfd_structure_for_markov_data():
     # poles inside (alpha, beta) = (-inf, 0), residuals positive
     g = build_geometry(-INF, 0.0, 0.5, 2.0)
     for m in (1, 2, 4, 6):
-        nodes = optimal_nodes(g, m).nodes
+        nodes = optimal_nodes(g, m)
         pfd = loewner_pfd([(z, z ** -0.5) for z in nodes], m, interval=(-INF, 0.0))
         assert all(x < 0.0 for x in pfd.poles)
         assert all(a > 0.0 for a in pfd.residuals)
@@ -72,7 +72,7 @@ def test_barycentric_m1m_inv_z_recovery():
 
 def test_barycentric_m3_inv_sqrt_interpolates():
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
-    nodes = optimal_nodes(g, 3).nodes
+    nodes = optimal_nodes(g, 3)
     samples = [(z, 1.0 / math.sqrt(z)) for z in nodes]
     r = barycentric_fit(samples, 3)
     # the interior (non-support) nodes are interpolated through the nullspace
@@ -86,7 +86,7 @@ def test_barycentric_m3_inv_sqrt_interpolates():
 def test_barycentric_degree_condition():
     # extra equation sum f(t_j) beta_j = 0 pins the numerator degree to m-1
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
-    nodes = optimal_nodes(g, 3).nodes
+    nodes = optimal_nodes(g, 3)
     r = barycentric_fit([(z, z ** -0.5) for z in nodes], 3)
     ft = np.asarray(r.values)
     w = np.asarray(r.weights)
@@ -128,7 +128,7 @@ def test_thiele_reciprocal_requires_nonzero():
 def test_thiele_reciprocal_positive_for_markov():
     g = build_geometry(-INF, 0.0, 0.5, 2.0)
     for m in (1, 2, 4, 6):
-        nodes = optimal_nodes(g, m).nodes
+        nodes = optimal_nodes(g, m)
         cf = thiele_fit([(z, z ** -0.5) for z in nodes])
         assert cf.positive
         for z in nodes:
@@ -174,7 +174,7 @@ def test_representation_agreement(m):
     g = build_geometry(-INF, 0.0, 1e-3, 1.0)
     if apriori_bound(g, m) < 1e-10:
         pytest.skip("past the comparison regime")
-    nodes = optimal_nodes(g, m).nodes
+    nodes = optimal_nodes(g, m)
     f = lambda z: np.asarray(z, dtype=float) ** -0.5
     grid = cosine_grid(1e-3, 1.0, 500)
     vals = {}
@@ -200,7 +200,7 @@ def test_scan_below_apriori_bound():
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
     m = 4
     spec = inv_sqrt_spec()
-    r = fit_interpolant(spec, optimal_nodes(g, m).nodes, representation="pfd")
+    r = fit_interpolant(spec, optimal_nodes(g, m), representation="pfd")
     err, arg = interp_error_scan(spec, r, cosine_grid(0.5, 1.0, 500))
     assert err <= apriori_bound(g, m)
     assert 0.5 <= arg <= 1.0
@@ -213,3 +213,21 @@ def test_fit_interpolant_warns_on_bad_residual():
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         fit_interpolant(lambda z: z ** -0.5, nodes, representation="thiele")
+
+
+def test_fit_interpolant_calls_f_once_on_the_node_array():
+    g = build_geometry(-INF, 0.0, 0.5, 1.0)
+    nodes = optimal_nodes(g, 4)
+    spec = inv_sqrt_spec()
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return spec(z)
+
+    r = fit_interpolant(f, nodes, "pfd")
+    assert len(seen) == 1 and np.array_equal(seen[0], nodes)
+    assert r.nodes == nodes
+    with pytest.raises(DimensionError, match="unknown representation 'bary'"):
+        fit_interpolant(f, nodes, "bary")
+    assert len(seen) == 1  # rejected before sampling f

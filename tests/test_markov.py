@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from marktop.errors import DomainError, InvalidInterval
+from marktop.errors import DimensionError, DomainError, InvalidInterval
 from marktop.markov import (check_hankel_definiteness, custom_spec, eval_markov,
                             hankel_matrix, inv_sqrt_spec, log_spec, power_spec,
                             taylor_coeffs, worst_case_spec)
@@ -70,6 +70,12 @@ def test_hankel_matrix_trivial_entries():
     spec = inv_sqrt_spec()
     assert hankel_matrix(spec, 1.0, 0, 0) == pytest.approx(np.array([[1.0]]))
     assert hankel_matrix(spec, 1.0, 0, 1) == pytest.approx(np.array([[-0.5]]))
+
+
+@pytest.mark.parametrize("n, ell", [(-1, 0), (0, -1)])
+def test_hankel_matrix_negative_size_rejected(n, ell):
+    with pytest.raises(DimensionError, match="nonnegative"):
+        hankel_matrix(log_spec(), 1.0, n, ell)
 
 
 def test_hankel_worst_case_determinant():

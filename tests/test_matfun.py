@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from marktop import (BoundInvalid, DegreeUnavailable, MatArg, PartialFraction,
-                     PoleCollision, SingularMatrix, aposteriori_bound,
+from marktop import (BoundInvalid, DegreeUnavailable, DimensionError,
+                     InvalidInterval, MatArg, PartialFraction, PoleCollision, SingularMatrix, aposteriori_bound,
                      apriori_bound, auto_degree, build_geometry, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
@@ -371,6 +371,27 @@ def test_auto_degree_evaluates_r_mu_once(rep, kind, monkeypatch):
                                 for rec in eager)
 
 
+@pytest.mark.parametrize("run", [
+    lambda a, g: auto_degree(inv_sqrt_spec(), a, g, "pfd", m_max=0),
+    lambda a, g: log_via_scaling(a, "pfd", m_max=0),
+    lambda a, g: frac_power(a, -0.3, "pfd", m_max=0),
+    lambda a, g: list(degree_sweep(inv_sqrt_spec(), a, g, "pfd", [2, 0], None)),
+], ids=["auto_degree", "log_via_scaling", "frac_power", "degree_sweep"])
+def test_degrees_below_1_rejected(run):
+    a = _kind_args()["dense"]
+    g = build_geometry(-INF, 0.0, a.c, a.d)
+    with pytest.raises(InvalidInterval, match="degrees must be >= 1"):
+        run(a, g)
+
+
+def test_degree_sweep_rejects_unknown_representation_before_fitting(monkeypatch):
+    a = _kind_args()["dense"]
+    g = build_geometry(-INF, 0.0, a.c, a.d)
+    monkeypatch.setattr(matfun, "fit_interpolant", None)  # never reached
+    with pytest.raises(DimensionError, match="unknown representation 'bary'"):
+        next(degree_sweep(inv_sqrt_spec(), a, g, "bary", range(1, 3), None))
+
+
 def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
     # a pfd r_mu with a pole in [c, d] still rejects its degree
     a = _kind_args()["dense"]
@@ -380,7 +401,7 @@ def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
 
     def bad_pole(s, nodes, rep, interval=None):
         r = fit(s, nodes, rep, interval=interval)
-        if s is spec and nodes.m == 3:
+        if s is spec and len(nodes) == 6:  # m = 3
             return PartialFraction((a.c + 1.0,), (1.0,))
         return r
 

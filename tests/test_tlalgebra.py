@@ -32,6 +32,14 @@ def explicit_dense(g, b):
     return out
 
 
+def nonsymmetric_product(n, seed):
+    """X Y for two well-conditioned tagged matrices: untagged, nonsymmetric."""
+    rng = np.random.default_rng(seed)
+    cols = rng.uniform(-0.5, 0.5, (2, n))
+    cols[:, 0] = 3.0
+    return multiply(from_toeplitz(cols[0]), from_toeplitz(cols[1])), cols
+
+
 def random_generators(n, r, seed):
     rng = np.random.default_rng(seed)
     return TLMatrix(n, rng.standard_normal((n, r)), rng.standard_normal((n, r)))
@@ -83,33 +91,16 @@ def test_toeplitz_roundtrip_and_rank():
     assert np.max(np.abs(to_dense(bare) - want)) <= 1e-13 * np.max(np.abs(col))
 
 
-def test_nonsymmetric_toeplitz_roundtrip():
-    n = 24
-    rng = np.random.default_rng(11)
-    col = rng.uniform(-1, 1, n)
-    row = rng.uniform(-1, 1, n)
-    row[0] = col[0]
-    a = from_toeplitz(col, row)
-    # the exact width-2 generator, but no tag: only symmetric data carries one
-    assert a.toeplitz is None and compress(a).width == 2
-    assert np.allclose(to_dense(a), scipy.linalg.toeplitz(col, row), atol=1e-14)
-
-
-def test_from_toeplitz_corner_mismatch():
-    with pytest.raises(DimensionError):
-        from_toeplitz([1.0, 2.0], [3.0, 4.0])
-
-
 @pytest.mark.parametrize("col, row, entry", [
     ([np.nan, 1.0, 0.0], [np.nan, 1.0, 0.0], "first column entry 0 is nan"),
     ([4.0, 1.0, 0.0], [4.0, np.inf, 0.0], "first row entry 1 is inf"),
     ([4.0, 1.0, -np.inf], [4.0, 1.0, 0.0], "first column entry 2 is -inf"),
 ])
 def test_nonfinite_toeplitz_entries_rejected(col, row, entry, tmp_path):
-    # checked before the corner test: a nan diagonal never equals itself;
-    # and in a file before the symmetry test
-    with pytest.raises(DomainError, match=entry):
-        from_toeplitz(col, row)
+    # in a file before the symmetry test: a nan diagonal never equals itself
+    if "column" in entry:
+        with pytest.raises(DomainError, match=entry):
+            from_toeplitz(col)
     path = tmp_path / "t.txt"
     path.write_text("\n".join(map(str, [len(col), *col, *row[1:]])))
     with pytest.raises(DomainError, match=entry):
@@ -202,12 +193,7 @@ def test_invert_rank_preservation():
 
 
 def test_invert_nonsymmetric():
-    n = 24
-    rng = np.random.default_rng(15)
-    col = rng.uniform(-0.5, 0.5, n)
-    row = rng.uniform(-0.5, 0.5, n)
-    col[0] = row[0] = 3.0
-    a = from_toeplitz(col, row)
+    a, _ = nonsymmetric_product(24, 15)
     err = np.max(np.abs(to_dense(invert(a)) - np.linalg.inv(to_dense(a))))
     assert err <= 1e-10
     assert invert(a).width <= 4
@@ -279,12 +265,8 @@ def test_matvec_dense_agreement():
 
 def test_matvec_t_dense_agreement():
     n = 40
-    rng = np.random.default_rng(19)
-    col = rng.uniform(-1, 1, n)
-    row = rng.uniform(-1, 1, n)
-    row[0] = col[0]
-    a = from_toeplitz(col, row)
-    v = rng.standard_normal(n)
+    a, _ = nonsymmetric_product(n, 19)
+    v = np.random.default_rng(19).standard_normal(n)
     assert np.allclose(matvec_t(a, v), to_dense(a).T @ v, atol=1e-12)
 
 
@@ -352,30 +334,6 @@ def test_solve_matvec_roundtrip():
     assert np.linalg.norm(back - v) <= 1e-9 * np.linalg.norm(v)
 
 
-def test_solve_untagged_dense_path():
-    n = 32
-    a = from_toeplitz(random_toeplitz_col(n, 25))
-    bare = TLMatrix(n, a.G, a.B)
-    rng = np.random.default_rng(26)
-    rhs = rng.standard_normal(n)
-    assert np.allclose(solve(bare, rhs), solve(a, rhs), atol=1e-10)
-
-
-def test_solve_t_untagged_nonsymmetric():
-    # the dense LU of A serves A^T x = rhs through its transposed solve
-    n = 24
-    rng = np.random.default_rng(38)
-    col = rng.uniform(-0.5, 0.5, n)
-    row = rng.uniform(-0.5, 0.5, n)
-    col[0] = row[0] = 3.0
-    a = from_toeplitz(col, row)
-    assert a.toeplitz is None  # nonsymmetric data carries no tag
-    rhs = rng.standard_normal((n, 2))
-    dense = scipy.linalg.toeplitz(col, row)
-    assert np.allclose(solve(a, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
-    assert np.allclose(solve_t(a, rhs), np.linalg.solve(dense.T, rhs), rtol=0, atol=1e-12)
-
-
 SINGULAR = {
     "zero-untagged": TLMatrix(6, np.zeros((6, 2)), np.zeros((6, 2))),
     "toeplitz-symmetric-rank-one": from_toeplitz(np.ones(4)),
@@ -387,26 +345,27 @@ def test_singular_solves_raise_singular_matrix(name):
     a = SINGULAR[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no LinAlgWarning on the way
-        for solver in (solve, solve_t):
-            with pytest.raises(SingularMatrix):
-                solver(a, np.ones(a.n))
+        if a.toeplitz is not None:  # an untagged matrix is inverted, not solved
+            for solver in (solve, solve_t):
+                with pytest.raises(SingularMatrix):
+                    solver(a, np.ones(a.n))
         with pytest.raises(SingularMatrix):
             invert(a)
 
 
 def test_nonsymmetric_toeplitz_with_zero_minor_solves():
-    # det = 4: a zero leading minor breaks Levinson, not the dense LU that
-    # serves every nonsymmetric matrix
-    col, row = [0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]
-    a = from_toeplitz(col, row)
-    dense = scipy.linalg.toeplitz(col, row)
-    rhs = np.arange(1.0, 5.0)
+    # det = 1: the zero leading minor breaks Levinson, which does not pivot,
+    # but not the dense LU that inverts the same matrix without its tag
+    col = [0.0, 1.0, 0.0, 0.0]
+    a = from_toeplitz(col)
+    bare = TLMatrix(a.n, a.G, a.B)
+    want = np.linalg.inv(scipy.linalg.toeplitz(col))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.allclose(solve(a, rhs), np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
-        assert np.allclose(solve_t(a, rhs), np.linalg.solve(dense.T, rhs), rtol=0,
-                           atol=1e-14)
-        assert np.allclose(to_dense(invert(a)), np.linalg.inv(dense), rtol=0, atol=1e-14)
+        assert np.allclose(to_dense(invert(bare)), want, rtol=0, atol=1e-14)
+        for fn in (lambda: solve(a, np.arange(1.0, 5.0)), lambda: invert(a)):
+            with pytest.raises(SingularMatrix):
+                fn()
 
 
 def test_invert_symmetric_overflowing_recursion_raises():
@@ -422,14 +381,9 @@ def test_invert_symmetric_overflowing_recursion_raises():
 
 
 def test_invert_untagged_nonsymmetric():
-    n = 24
-    rng = np.random.default_rng(36)
-    col = rng.uniform(-0.5, 0.5, n)
-    row = rng.uniform(-0.5, 0.5, n)
-    col[0] = row[0] = 3.0
-    a = from_toeplitz(col, row)
-    assert a.toeplitz is None  # nonsymmetric data carries no tag
-    want = np.linalg.inv(scipy.linalg.toeplitz(col, row))
+    a, cols = nonsymmetric_product(24, 36)
+    assert a.toeplitz is None  # a product of Toeplitz matrices carries no tag
+    want = np.linalg.inv(scipy.linalg.toeplitz(cols[0]) @ scipy.linalg.toeplitz(cols[1]))
     assert np.max(np.abs(to_dense(invert(a)) - want)) <= 1e-10
 
 
@@ -444,6 +398,9 @@ def test_invert_untagged_symmetric_takes_general_formula(n):
     cond = np.linalg.cond(d)
     inv = invert(bare)
     assert inv.width <= 2
+    for solver in (solve, solve_t):  # untagged: inverted, not solved
+        with pytest.raises(DimensionError, match="tag"):
+            solver(bare, np.ones(n))
     assert np.max(np.abs(to_dense(inv) - to_dense(invert(a)))) <= 1e-8 * cond
     assert np.max(np.abs(to_dense(inv) - np.linalg.inv(d))) <= 1e-8 * cond
 
@@ -501,8 +458,9 @@ def test_nonsymmetric_toeplitz_file_rejected(tmp_path):
     with pytest.raises(DomainError,
                        match="first row entry 2 is 0.5 but first column entry 2 is 0.0"):
         read_toeplitz(path)
+    a = from_toeplitz([4.0, 1.0, 0.0])
     with pytest.raises(DimensionError):
-        write_toeplitz(path, from_toeplitz([4.0, 1.0, 0.0], [4.0, 1.0, 0.5]))
+        write_toeplitz(path, TLMatrix(a.n, a.G, a.B))
 
 
 # --------------------------------------------------- rank rules, random sweep
