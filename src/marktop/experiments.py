@@ -47,6 +47,8 @@ def gen_random_spd_toeplitz(n: int, lmin: float, lmax: float,
 
 def laplacian1d(n: int) -> tl.TLMatrix:
     """Tridiagonal 1D Laplacian: 2 on the diagonal, -1 off it."""
+    if n < 2:
+        raise DimensionError(f"need n >= 2, got n = {n}")
     col = np.zeros(n)
     col[0] = 2.0
     col[1] = -1.0

@@ -2,36 +2,37 @@
 
 A Markov function is the Cauchy transform of a positive measure supported
 on a real interval [alpha, beta] (alpha may be -inf).  Each constructor
-supplies its function's evaluator and Taylor series; arbitrary user
-evaluators are accepted through ``custom_spec``.
+supplies its function's evaluator, the one definition of the function;
+its Taylor coefficients come from the evaluator through Cauchy's integral.
+Arbitrary user evaluators are accepted through ``custom_spec``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 from .errors import DimensionError, DomainError, InvalidInterval
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovSpec:
-    """A Markov function: support interval, evaluator and Taylor series.
+    """A Markov function: support interval and evaluator.
 
     ``alpha`` may be ``-inf``; ``beta`` is always finite and the function
     is analytic, positive and strictly decreasing on (beta, +inf).  ``f``
-    evaluates a float array of points z > beta; ``series(z0, count)``
-    returns the first ``count`` Taylor coefficients about z0 > beta.
+    evaluates an array of points: real z > beta, and, for the Hankel
+    check's Taylor coefficients, complex z with Re z > beta.
     """
 
     alpha: float
     beta: float
     f: Callable[[np.ndarray], np.ndarray]
-    series: Callable[[float, int], np.ndarray]
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -44,20 +45,18 @@ class MarkovSpec:
 
 
 def inv_sqrt_spec() -> MarkovSpec:
-    return MarkovSpec(-math.inf, 0.0, lambda z: 1.0 / np.sqrt(z),
-                      functools.partial(_power_series, -0.5))
+    return MarkovSpec(-math.inf, 0.0, lambda z: 1.0 / np.sqrt(z))
 
 
 def log_spec() -> MarkovSpec:
-    return MarkovSpec(-math.inf, 0.0, _log_over_zm1, _log_over_zm1_series)
+    return MarkovSpec(-math.inf, 0.0, _log_over_zm1)
 
 
 def power_spec(gamma: float) -> MarkovSpec:
     """z**gamma for gamma in [-1, 0)."""
     if not -1.0 <= gamma < 0.0:
         raise InvalidInterval(f"power exponent must lie in [-1, 0), got {gamma}")
-    return MarkovSpec(-math.inf, 0.0, lambda z: z ** gamma,
-                      functools.partial(_power_series, gamma))
+    return MarkovSpec(-math.inf, 0.0, lambda z: z ** gamma)
 
 
 def custom_spec(evaluator: Callable[[float], float], alpha: float, beta: float) -> MarkovSpec:
@@ -65,39 +64,30 @@ def custom_spec(evaluator: Callable[[float], float], alpha: float, beta: float) 
     by entry if that fails or returns the wrong shape."""
     def f(z):
         try:
-            out = np.asarray(evaluator(z), dtype=float)
+            out = np.asarray(evaluator(z))
             if out.shape == z.shape:
                 return out
         except Exception:
             pass
-        return np.asarray([evaluator(float(t)) for t in z.ravel()]).reshape(z.shape)
+        return np.asarray([evaluator(t) for t in z.ravel()]).reshape(z.shape)
 
-    return MarkovSpec(alpha, beta, f, functools.partial(_custom_series, evaluator, beta))
+    return MarkovSpec(alpha, beta, f)
 
 
 def worst_case_spec(alpha: float, beta: float) -> MarkovSpec:
     """Spec of the worst-case Markov function for the interval [alpha, beta].
 
     f(z) = sqrt(|alpha|) / sqrt((z - alpha)(z - beta)) for finite alpha,
-    with the limit 1/sqrt(z - beta) as alpha -> -inf.  (z - shift)**(-1/2)
-    about z0 is z**(-1/2) about z0 - shift.
+    with the limit 1/sqrt(z - beta) as alpha -> -inf.
     """
     if math.isinf(alpha):
-        return MarkovSpec(alpha, beta, lambda z: 1.0 / np.sqrt(z - beta),
-                          lambda z0, count: _power_series(-0.5, z0 - beta, count))
+        return MarkovSpec(alpha, beta, lambda z: 1.0 / np.sqrt(z - beta))
     scale = math.sqrt(abs(alpha))
-
-    def series(z0, count):
-        u = _power_series(-0.5, z0 - alpha, count)
-        v = _power_series(-0.5, z0 - beta, count)
-        return scale * np.convolve(u, v)[:count]
-
-    return MarkovSpec(alpha, beta, lambda z: scale / np.sqrt((z - alpha) * (z - beta)),
-                      series)
+    return MarkovSpec(alpha, beta, lambda z: scale / np.sqrt((z - alpha) * (z - beta)))
 
 
 def _log_over_zm1(z):
-    w = np.asarray(z, dtype=float) - 1.0
+    w = np.asarray(z) - 1.0
     small = np.abs(w) < 1e-6
     out = np.empty_like(w)
     # series of log(1+w)/w around w = 0; three terms suffice at 1e-6
@@ -127,76 +117,32 @@ def eval_markov(spec: MarkovSpec, z):
 # Taylor coefficients (for the Hankel moment matrices of the definiteness check)
 # ---------------------------------------------------------------------------
 
-def _power_series(exponent: float, z0: float, count: int) -> np.ndarray:
-    """Coefficients of z -> z**exponent about z0 > 0 (binomial recurrence)."""
-    g = np.empty(count)
-    g[0] = z0 ** exponent
-    for j in range(count - 1):
-        g[j + 1] = g[j] * (exponent - j) / ((j + 1) * z0)
-    return g
-
-
-def _log_over_zm1_series(z0: float, count: int) -> np.ndarray:
-    if abs(z0 - 1.0) < 0.9:
-        # expand log(1+w)/w = sum c_j w^j (w = z-1), then re-center at z0
-        h = z0 - 1.0
-        g = np.zeros(count)
-        term_count = count
-        j = 0
-        while True:
-            c = (-1.0) ** j / (j + 1.0)
-            # contribution of c * w^j to coefficient i about z0: c * C(j, i) h^(j-i)
-            if j >= term_count and abs(c * h ** (j - count + 1)) < 1e-20:
-                break
-            for i in range(min(j, count - 1) + 1):
-                g[i] += c * math.comb(j, i) * h ** (j - i)
-            j += 1
-            if j > 400:
-                break
-        return g
-    # product of the series of log(z) and 1/(z-1) about z0
-    lg = np.empty(count)
-    lg[0] = math.log(z0)
-    for j in range(1, count):
-        lg[j] = (-1.0) ** (j + 1) / (j * z0 ** j)
-    inv = np.array([(-1.0) ** j / (z0 - 1.0) ** (j + 1) for j in range(count)])
-    return np.convolve(lg, inv)[:count]
-
-
-def _custom_series(evaluator, beta: float, z0: float, count: int) -> np.ndarray:
-    """Numerical Taylor coefficients of a user evaluator about z0.
-
-    Primary route: Cauchy coefficients over a circle of radius r via FFT,
-    if the evaluator accepts complex arguments.  Fallback: Chebyshev fit
-    on [z0 - r, z0 + r] with repeated differentiation.
-    """
-    r = 0.45 * (z0 - beta)
-    npts = max(64, 4 * count)
-    theta = 2.0 * np.pi * np.arange(npts) / npts
-    try:
-        vals = np.asarray([evaluator(complex(z0 + r * np.exp(1j * t))) for t in theta],
-                          dtype=complex)
-        coeffs = np.fft.fft(vals) / npts
-        g = (coeffs[:count] / r ** np.arange(count)).real
-        if np.all(np.isfinite(g)):
-            return g
-    except Exception:
-        pass
-    xs = z0 + r * np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
-    ys = np.asarray([evaluator(float(x)) for x in xs])
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, deg=min(50, npts - 1))
-    g = np.empty(count)
-    for j in range(count):
-        g[j] = cheb(z0) / math.factorial(j)
-        cheb = cheb.deriv()
-    return g
-
-
 def taylor_coeffs(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients of the spec's function about z0 > beta."""
+    """First ``count`` Taylor coefficients of the spec's function about z0 > beta.
+
+    Cauchy's integral by the trapezoidal rule (one FFT) on the circle
+    |z - z0| = r = 0.8 (z0 - beta), inside the disk where f is analytic.
+    The rule's aliasing error decays like 0.8**npts; a radius close to
+    the disk's keeps the relative rounding error of coefficient j near
+    eps * 1.25**j (Bornemann, Found. Comput. Math. 11, 2011).
+    ``spec.f`` must accept complex arrays: an evaluator that raises on
+    them or casts them to real makes this raise DomainError.
+    """
     if z0 <= spec.beta:
         raise DomainError(f"expansion point must satisfy z0 > beta = {spec.beta}")
-    return spec.series(z0, count)
+    r = 0.8 * (z0 - spec.beta)
+    npts = max(512, 4 * count)
+    z = z0 + r * np.exp(2j * np.pi * np.arange(npts) / npts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        try:
+            vals = np.asarray(spec.f(z))
+        except (TypeError, ValueError, ComplexWarning) as exc:
+            raise DomainError(f"Taylor coefficients need f at complex z: {exc}") from exc
+    if not np.iscomplexobj(vals):
+        raise DomainError("Taylor coefficients need f at complex z, "
+                          "f returned real values")
+    return (np.fft.fft(vals)[:count] / npts / r ** np.arange(count)).real
 
 
 def hankel_matrix(spec: MarkovSpec, z0: float, n: int, ell: int) -> np.ndarray:
@@ -253,11 +199,12 @@ def check_hankel_definiteness(spec: MarkovSpec, z0: float, n_max: int) -> Hankel
     (for instance f(z) = z, with an O(1) indefinite block) failing while
     tolerating rounding-level singularity.
     """
+    g = taylor_coeffs(spec, z0, 2 * n_max + 2)
     mins, maxs = [], []
     ok = True
     for n in range(n_max + 1):
-        h0 = hankel_matrix(spec, z0, n, 0)
-        h1 = hankel_matrix(spec, z0, n, 1)
+        idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+        h0, h1 = g[idx], g[idx + 1]
         e0 = np.linalg.eigvalsh(h0)
         e1 = np.linalg.eigvalsh(h1)
         mins.append(float(e0[0]))

@@ -260,13 +260,10 @@ def compress(a: TLMatrix) -> TLMatrix:
     qg, rg = np.linalg.qr(a.G)
     qb, rb = np.linalg.qr(a.B)
     u, sv, vt = np.linalg.svd(rg @ rb.T)
-    if sv.size == 0 or sv[0] == 0.0:
-        keep = 0
-    else:
-        # the panel-scale floor discards rounding residue left by exact
-        # cancellations (e.g. A + (-A)), which the relative rule would keep
-        floor = COMPRESS_TOL * np.linalg.norm(rg, 2) * np.linalg.norm(rb, 2)
-        keep = int(np.sum(sv > max(COMPRESS_TOL * sv[0], floor)))
+    # sv[0] <= |rg| |rb|, so this floor is never below COMPRESS_TOL * sv[0],
+    # and it discards the rounding residue of exact cancellations (A + (-A))
+    floor = COMPRESS_TOL * np.linalg.norm(rg, 2) * np.linalg.norm(rb, 2)
+    keep = int(np.sum(sv > floor))
     g = qg @ u[:, :keep] * sv[:keep]
     b = qb @ vt[:keep].T
     return replace(a, G=g, B=b)
@@ -387,8 +384,21 @@ def read_toeplitz(path) -> TLMatrix:
     The row must repeat the column: only symmetric data is accepted."""
     with open(path) as fh:
         tokens = fh.read().split()
-    n = int(tokens[0])
-    vals = np.array([float(t) for t in tokens[1:]], dtype=float)
+    try:
+        n = int(tokens[0])
+    except (IndexError, ValueError):
+        n = 0
+    if n < 1:
+        got = repr(tokens[0]) if tokens else "an empty file"
+        raise DimensionError(f"the first token must be the size, a positive integer, got {got}")
+    vals = np.empty(len(tokens) - 1)
+    for k, t in enumerate(tokens[1:]):
+        try:
+            vals[k] = float(t)
+        except ValueError:
+            name, i = ("column", k) if k < n else ("row", k - n + 1)
+            raise DomainError(f"first {name} entry {i} is {t!r}, "
+                              "Toeplitz entries must be numbers") from None
     if len(vals) != 2 * n - 1:
         raise DimensionError(f"expected {2 * n - 1} entries, got {len(vals)}")
     col = vals[:n]

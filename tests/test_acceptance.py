@@ -139,7 +139,7 @@ def test_criterion_5_hankel_definiteness():
             report = check_hankel_definiteness(spec, spec.beta + offset, 6)
             assert report.passed, (spec.f, offset)
     # f(z) = z is not a Markov function and must fail
-    poly = custom_spec(lambda z: np.asarray(z, dtype=float), -1.0, 0.0)
+    poly = custom_spec(lambda z: np.asarray(z), -1.0, 0.0)
     assert not check_hankel_definiteness(poly, 2.0, 6).passed
     wall = time.perf_counter() - t0
     assert wall < 1.0

@@ -208,6 +208,32 @@ def test_matfun_nonsymmetric_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "an empty file"),
+    ("2.5\n4.0\n1.0\n1.0\n", "got '2.5'"),
+    ("2\n4.0\nx\n1.0\n", "first column entry 1 is 'x'"),
+], ids=["empty", "size-not-integer", "entry-not-number"])
+def test_matfun_malformed_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    out = tmp_path / "bad.csv"
+    rc = main(["matfun", "--matrix", "file", "--path", str(path),
+               "--output", str(out)])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_matfun_laplacian_too_small_exits_2(tmp_path, capsys, n):
+    out = tmp_path / "lap.csv"
+    rc = main(["matfun", "--matrix", "laplacian1d", "--n", str(n),
+               "--output", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"need n >= 2, got n = {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matfun_missing_path_exits_2(capsys):
     rc = main(["matfun", "--matrix", "file"])
     assert rc == EXIT_CONFIG

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from marktop.errors import DimensionError, DomainError, InvalidInterval
 from marktop.markov import (check_hankel_definiteness, custom_spec, eval_markov,
@@ -9,7 +11,8 @@ from marktop.markov import (check_hankel_definiteness, custom_spec, eval_markov,
                             taylor_coeffs, worst_case_spec)
 
 CATALOG = [inv_sqrt_spec(), log_spec(), power_spec(-0.5), power_spec(-1.0),
-           worst_case_spec(-math.inf, 0.0), worst_case_spec(-1.0, 0.0)]
+           worst_case_spec(-math.inf, 0.0), worst_case_spec(-1.0, 0.0),
+           power_spec(-0.01)]
 
 
 def test_inv_sqrt_value():
@@ -86,18 +89,34 @@ def test_hankel_worst_case_determinant():
 
 def test_taylor_log_against_mpmath():
     import mpmath
-    z0 = 2.0
-    coeffs = taylor_coeffs(log_spec(), z0, 8)
-    oracle = mpmath.taylor(lambda z: mpmath.log(z) / (z - 1), z0, 7)
-    for got, want in zip(coeffs, oracle):
-        assert got == pytest.approx(float(want), rel=1e-11)
+    for z0, count, rel in [(2.0, 8, 1e-11), (1.85, 14, 1e-9)]:
+        coeffs = taylor_coeffs(log_spec(), z0, count)
+        oracle = mpmath.taylor(lambda z: mpmath.log(z) / (z - 1), z0, count - 1)
+        for got, want in zip(coeffs, oracle):
+            assert got == pytest.approx(float(want), rel=rel), z0
 
 
 def test_taylor_custom_against_closed_form():
-    spec = custom_spec(lambda z: 1.0 / np.sqrt(z), -math.inf, 0.0)
-    got = taylor_coeffs(spec, 3.0, 7)
-    want = taylor_coeffs(inv_sqrt_spec(), 3.0, 7)
-    assert got == pytest.approx(want, rel=1e-9)
+    z0, j = 3.0, np.arange(14)
+    want = scipy.special.binom(-0.5, j) * z0 ** (-0.5 - j)
+    # an array evaluator, and a scalar one called entry by entry
+    for evaluator in (lambda z: 1.0 / np.sqrt(z), lambda z: 1.0 / cmath.sqrt(z)):
+        spec = custom_spec(evaluator, -math.inf, 0.0)
+        assert taylor_coeffs(spec, z0, 14) == pytest.approx(want, rel=1e-9)
+        assert check_hankel_definiteness(spec, z0, 8).passed
+
+
+@pytest.mark.parametrize("evaluator", [lambda z: 1.0 / math.sqrt(z),
+                                       lambda z: 1.0 / np.sqrt(np.asarray(z, dtype=float)),
+                                       lambda z: 1.0 / np.sqrt(np.real(z))],
+                         ids=["math", "cast", "real-part"])
+def test_real_only_evaluator_rejected(evaluator):
+    spec = custom_spec(evaluator, -math.inf, 0.0)
+    assert spec(4.0) == 0.5
+    with pytest.raises(DomainError, match="complex z"):
+        taylor_coeffs(spec, 2.0, 5)
+    with pytest.raises(DomainError, match="complex z"):
+        check_hankel_definiteness(spec, 2.0, 4)
 
 
 def test_hankel_definiteness_passes_for_markov():
@@ -106,12 +125,12 @@ def test_hankel_definiteness_passes_for_markov():
 
 
 def test_hankel_definiteness_rejects_polynomial():
-    spec = custom_spec(lambda z: np.asarray(z, dtype=float), -1.0, 0.0)
+    spec = custom_spec(lambda z: np.asarray(z), -1.0, 0.0)
     report = check_hankel_definiteness(spec, 2.0, 2)
     assert not report.passed
 
 
 @pytest.mark.parametrize("spec", CATALOG)
-@pytest.mark.parametrize("offset", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("offset", [0.5, 1.0, 1.5, 1.85, 10.0])
 def test_hankel_definiteness_catalog_grid(spec, offset):
     assert check_hankel_definiteness(spec, spec.beta + offset, 6).passed
