@@ -24,7 +24,7 @@ from . import tlalgebra as tl
 from .approx import (Geometry, apriori_bound, build_geometry, optimal_nodes,
                      relative_error_bound, stopping_threshold)
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
-                     InvalidInterval, MarktopError, NoConvergence,
+                     DomainError, InvalidInterval, MarktopError, NoConvergence,
                      PoleCollision, SingularMatrix)
 from .interp import (REPRESENTATIONS, PartialFraction, RationalInterpolant,
                      ThieleCF, fit_interpolant)
@@ -61,14 +61,28 @@ class MatArg:
         return self.ops.n(self.data)
 
 
+def _checked_array(x, ndim: int, what: str) -> np.ndarray:
+    """x as a float array, after checking that it is a nonempty ``what``
+    with ndim equal dimensions and finite entries."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.size == 0 or x.shape != (len(x),) * ndim:
+        raise DimensionError(f"need a nonempty {what}, got shape {x.shape}")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        raise DomainError(f"{what} entry [{', '.join(map(str, bad[0]))}] is "
+                          f"{x[tuple(bad[0])]}, entries must be finite")
+    return x
+
+
 def dense_arg(a, c: float, d: float) -> MatArg:
-    return MatArg("dense", np.asarray(a, dtype=float), c, d)
+    """A square matrix; its symmetry is not checked."""
+    return MatArg("dense", _checked_array(a, 2, "square matrix"), c, d)
 
 def tl_arg(a: tl.TLMatrix, c: float, d: float) -> MatArg:
     return MatArg("tl", a, c, d)
 
 def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
-    e = np.asarray(eigs, dtype=float)
+    e = _checked_array(eigs, 1, "eigenvalue vector")
     return MatArg("diagonal", e, float(e.min()) if c is None else c,
                   float(e.max()) if d is None else d)
 
@@ -452,6 +466,8 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     """A^gamma by inverse scaling and squaring: write 2^ell gamma = k + g'
     with k integer and g' in [-1, 0), then A^gamma = r(A_ell) A_ell^k where
     r approximates z^g' and A_ell = A^(1/2^ell)."""
+    if not math.isfinite(gamma):
+        raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     ops = a.ops
     if gamma == 0.0:
         ident = replace(a, data=ops.identity(a.n), c=1.0, d=1.0)

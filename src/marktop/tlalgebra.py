@@ -20,30 +20,16 @@ other inverse goes through one dense LU factorization.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError, SingularMatrix
 
 COMPRESS_TOL = 1e-14
-
-# peak generator width and dense materialization sizes, for diagnostics
-# and for asserting that large problems never densify
-_STATS = {"peak_width": 0, "dense_calls": []}
-
-
-def reset_stats():
-    _STATS["peak_width"] = 0
-    _STATS["dense_calls"] = []
-
-
-def get_stats():
-    return {"peak_width": _STATS["peak_width"],
-            "dense_calls": tuple(_STATS["dense_calls"])}
 
 
 def shift_matrix(n: int, theta: float) -> np.ndarray:
@@ -126,7 +112,6 @@ class TLMatrix:
         if self.G.shape != self.B.shape or self.G.shape[0] != self.n:
             raise DimensionError(
                 f"generator shapes {self.G.shape}/{self.B.shape} for n={self.n}")
-        _STATS["peak_width"] = max(_STATS["peak_width"], self.width)
 
     @property
     def width(self) -> int:
@@ -195,7 +180,6 @@ def to_dense(a: TLMatrix) -> np.ndarray:
     """Dense A.  Untagged matrices are filled from the first column and row
     along the diagonals by the displacement recurrence
     A[i, j+1] = A[i-1, j] - (G B^T)[i, j]."""
-    _STATS["dense_calls"].append(a.n)
     if a.toeplitz is not None:
         return scipy.linalg.toeplitz(a.toeplitz)
     n = a.n
@@ -341,14 +325,15 @@ def invert(a: TLMatrix) -> TLMatrix:
         return compress(TLMatrix(n, g, b))
     en = np.zeros((n, 1))
     en[-1] = 1.0
-    # lu_factor only warns on an exact zero pivot; that raises here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(to_dense(a), overwrite_a=True)
-    if not np.all(np.diagonal(lu[0])):
-        raise SingularMatrix("exactly zero pivot in the LU factorization")
-    x = scipy.linalg.lu_solve(lu, np.hstack([a.G, e1]))
-    xt = scipy.linalg.lu_solve(lu, np.hstack([a.B, en]), trans=1)
+    dense = to_dense(a)
+    if not np.all(np.isfinite(dense)):
+        raise DomainError("the densified matrix has nonfinite entries")
+    # an exactly zero pivot raises, as in matfun's dense inverse
+    lu, piv, info = lapack.dgetrf(dense, overwrite_a=True)
+    if info != 0:
+        raise SingularMatrix(f"dense LU: LAPACK info = {info}")
+    x = lapack.dgetrs(lu, piv, np.hstack([a.G, e1]))[0]
+    xt = lapack.dgetrs(lu, piv, np.hstack([a.B, en]), trans=1)[0]
     g = np.hstack([-x[:, :r], e1, 2.0 * x[:, r:]])
     b = np.hstack([xt[:, :r], 2.0 * xt[:, r:], en])
     return compress(TLMatrix(n, g, b))

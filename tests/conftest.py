@@ -24,6 +24,37 @@ def levinson_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Size n of each TL matrix densified during the test."""
+    from marktop import tlalgebra
+    calls = []
+    to_dense = tlalgebra.to_dense
+
+    def counting(a):
+        calls.append(a.n)
+        return to_dense(a)
+
+    monkeypatch.setattr(tlalgebra, "to_dense", counting)
+    return calls
+
+
+@pytest.fixture
+def compress_widths(monkeypatch):
+    """Input generator width of each compress made during the test; every
+    wide generator (a sum, a product, an inverse) is built as one."""
+    from marktop import tlalgebra
+    widths = []
+    compress = tlalgebra.compress
+
+    def counting(a):
+        widths.append(a.width)
+        return compress(a)
+
+    monkeypatch.setattr(tlalgebra, "compress", counting)
+    return widths
+
+
 def random_spd_toeplitz_col(n, seed, diag=4.0, spread=0.5):
     """First column of a diagonally dominant (hence SPD) symmetric Toeplitz."""
     r = np.random.default_rng(seed)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from marktop import DimensionError, InvalidInterval, MatArg, inv_sqrt_spec
+from marktop import (DimensionError, DomainError, InvalidInterval, MatArg,
+                     TLMatrix, dense_arg, diag_arg, frac_power, inv_sqrt_spec)
 from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
                                  laplacian1d)
 from marktop.interp import MAX_PFD_DEGREE, loewner_pfd
-from marktop.tlalgebra import read_toeplitz
+from marktop.tlalgebra import invert, read_toeplitz
 
 
 def _short_file(tmp_path):
@@ -30,6 +31,29 @@ def _short_file(tmp_path):
     pytest.param(lambda tmp: dense_f_oracle(
                      inv_sqrt_spec(), np.broadcast_to(1.0, (ORACLE_MAX_N + 1,) * 2)),
                  DimensionError, f"capped at n = {ORACLE_MAX_N}", id="oracle-size-cap"),
+    pytest.param(lambda tmp: dense_arg(np.ones(3), 1.0, 3.0),
+                 DimensionError, r"square matrix, got shape \(3,\)", id="dense-arg-1d"),
+    pytest.param(lambda tmp: dense_arg(np.ones((2, 3)), 1.0, 3.0),
+                 DimensionError, r"got shape \(2, 3\)", id="dense-arg-not-square"),
+    pytest.param(lambda tmp: dense_arg(np.ones((0, 0)), 1.0, 3.0),
+                 DimensionError, "need a nonempty square", id="dense-arg-empty"),
+    pytest.param(lambda tmp: dense_arg([[2.0, np.nan], [np.nan, 2.0]], 1.0, 3.0),
+                 DomainError, r"entry \[0, 1\] is nan, entries must be finite", id="dense-arg-nan"),
+    pytest.param(lambda tmp: diag_arg([]),
+                 DimensionError, "nonempty eigenvalue vector", id="diag-arg-empty"),
+    pytest.param(lambda tmp: diag_arg(np.eye(2), 1.0, 3.0),
+                 DimensionError, r"got shape \(2, 2\)", id="diag-arg-2d"),
+    pytest.param(lambda tmp: diag_arg([1.0, np.inf]),
+                 DomainError, r"vector entry \[1\] is inf", id="diag-arg-inf"),
+    pytest.param(lambda tmp: frac_power(dense_arg(np.eye(2), 1.0, 1.0), np.nan),
+                 InvalidInterval, "finite, got nan", id="frac-power-nan"),
+    pytest.param(lambda tmp: frac_power(dense_arg(np.eye(2), 1.0, 1.0), np.inf),
+                 InvalidInterval, "finite, got inf", id="frac-power-inf"),
+    pytest.param(lambda tmp: frac_power(dense_arg(np.eye(2), 1.0, 1.0), -np.inf),
+                 InvalidInterval, "finite, got -inf", id="frac-power-minus-inf"),
+    pytest.param(lambda tmp: invert(TLMatrix(3, np.array([[1.0], [np.nan], [0.0]]),
+                                             np.ones((3, 1)))),
+                 DomainError, "nonfinite", id="invert-untagged-nan"),
 ])
 def test_input_check_raises_typed_error(call, error, match, tmp_path):
     with pytest.raises(error, match=match):

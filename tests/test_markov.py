@@ -1,11 +1,14 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
+from marktop.approx import build_geometry, optimal_nodes
 from marktop.errors import DimensionError, DomainError, InvalidInterval
+from marktop.interp import fit_interpolant
 from marktop.markov import (check_hankel_definiteness, custom_spec, eval_markov,
                             hankel_matrix, inv_sqrt_spec, log_spec, power_spec,
                             taylor_coeffs, worst_case_spec)
@@ -103,7 +106,7 @@ def test_taylor_custom_against_closed_form():
     for evaluator in (lambda z: 1.0 / np.sqrt(z), lambda z: 1.0 / cmath.sqrt(z)):
         spec = custom_spec(evaluator, -math.inf, 0.0)
         assert taylor_coeffs(spec, z0, 14) == pytest.approx(want, rel=1e-9)
-        assert check_hankel_definiteness(spec, z0, 8).passed
+        assert check_hankel_definiteness(spec, z0, 8)
 
 
 @pytest.mark.parametrize("evaluator", [lambda z: 1.0 / math.sqrt(z),
@@ -119,18 +122,40 @@ def test_real_only_evaluator_rejected(evaluator):
         check_hankel_definiteness(spec, 2.0, 4)
 
 
+def test_complex_evaluator_real_on_the_axis():
+    # cmath returns complex values, with imaginary part 0 at real z > beta
+    spec = custom_spec(lambda z: 1.0 / cmath.sqrt(z), -math.inf, 0.0)
+    out = spec(np.array([1.0, 4.0]))
+    assert out.dtype == np.float64 and np.array_equal(out, [1.0, 0.5])
+    assert spec(4.0) == 0.5
+    nodes = optimal_nodes(build_geometry(-math.inf, 0.0, 1.0, 10.0), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a real cast
+        r = fit_interpolant(spec, nodes, "pfd", interval=(-math.inf, 0.0))
+    want = fit_interpolant(inv_sqrt_spec(), nodes, "pfd", interval=(-math.inf, 0.0))
+    assert r(2.0) == pytest.approx(want(2.0), rel=1e-14)
+
+
+def test_complex_evaluator_off_the_axis_rejected():
+    # 1/sqrt(z - 2) is imaginary on (0, 2): not a function on (beta, inf)
+    spec = custom_spec(lambda z: 1.0 / np.sqrt(z - 2.0 + 0j), -math.inf, 0.0)
+    for z in (1.0, np.array([3.0, 1.0])):
+        with pytest.raises(DomainError, match="must be real"):
+            spec(z)
+    assert spec(np.array([3.0, 6.0])) == pytest.approx([1.0, 0.5])
+
+
 def test_hankel_definiteness_passes_for_markov():
-    assert check_hankel_definiteness(inv_sqrt_spec(), 2.0, 4).passed
-    assert check_hankel_definiteness(worst_case_spec(-1.0, 0.0), 1.5, 4).passed
+    assert check_hankel_definiteness(inv_sqrt_spec(), 2.0, 4) is True
+    assert check_hankel_definiteness(worst_case_spec(-1.0, 0.0), 1.5, 4) is True
 
 
 def test_hankel_definiteness_rejects_polynomial():
     spec = custom_spec(lambda z: np.asarray(z), -1.0, 0.0)
-    report = check_hankel_definiteness(spec, 2.0, 2)
-    assert not report.passed
+    assert check_hankel_definiteness(spec, 2.0, 2) is False
 
 
 @pytest.mark.parametrize("spec", CATALOG)
 @pytest.mark.parametrize("offset", [0.5, 1.0, 1.5, 1.85, 10.0])
 def test_hankel_definiteness_catalog_grid(spec, offset):
-    assert check_hankel_definiteness(spec, spec.beta + offset, 6).passed
+    assert check_hankel_definiteness(spec, spec.beta + offset, 6)
