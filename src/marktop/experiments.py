@@ -137,7 +137,7 @@ def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
         rel_err = math.nan
         if oracle is not None:
             rel_err = mf.spectral_norm(mf.mat_to_dense(approx) - oracle) / oracle_norm
-        return rel_err, approx.data.width if arg.kind == "tl" else 0
+        return rel_err, approx.data.width if isinstance(approx.data, tl.TLMatrix) else 0
 
     return [_row(config.case, rep, rec)
             for rec in mf.degree_sweep(spec, arg, g, rep,

@@ -147,6 +147,9 @@ def taylor_coeffs(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
     if not np.iscomplexobj(vals):
         raise DomainError("Taylor coefficients need f at complex z, "
                           "f returned real values")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("Taylor coefficients need f finite on the circle "
+                          f"|z - {z0}| = {r:.6g}, f has a nonfinite value there")
     return (np.fft.fft(vals)[:count] / npts / r ** np.arange(count)).real
 
 

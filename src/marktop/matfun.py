@@ -37,24 +37,28 @@ _EPS = np.finfo(float).eps
 class MatArg:
     """Matrix argument with spectral bounds c <= lambda_min, lambda_max <= d.
 
-    kind is "dense" (symmetric ndarray), "tl" (TLMatrix) or "diagonal"
-    (1-D array of eigenvalues); ``ops`` holds that kind's arithmetic.
+    The data picks the arithmetic ``ops``: a TLMatrix is Toeplitz-like, a
+    2-D ndarray a dense symmetric matrix, a 1-D ndarray the eigenvalues of
+    a diagonal matrix.
     """
 
-    kind: str
     data: object
     c: float
     d: float
 
     def __post_init__(self):
-        if self.kind not in _OPS:
-            raise DimensionError(f"unknown MatArg kind {self.kind!r}")
+        self.ops  # any other data raises DimensionError
         if not (0 < self.c <= self.d):
             raise DimensionError(f"need 0 < c <= d, got [{self.c}, {self.d}]")
 
     @property
     def ops(self) -> Ops:
-        return _OPS[self.kind]
+        if isinstance(self.data, tl.TLMatrix):
+            return _TL
+        if isinstance(self.data, np.ndarray) and self.data.ndim in (1, 2):
+            return _DIAGONAL if self.data.ndim == 1 else _DENSE
+        raise DimensionError("MatArg needs a TLMatrix or a 1-D or 2-D ndarray, got "
+                             f"{type(self.data).__name__}{getattr(self.data, 'shape', '')}")
 
     @property
     def n(self) -> int:
@@ -64,7 +68,10 @@ class MatArg:
 def _checked_array(x, ndim: int, what: str) -> np.ndarray:
     """x as a float array, after checking that it is a nonempty ``what``
     with ndim equal dimensions and finite entries."""
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"need a {what} of numbers, got {type(x).__name__}") from exc
     if x.ndim != ndim or x.size == 0 or x.shape != (len(x),) * ndim:
         raise DimensionError(f"need a nonempty {what}, got shape {x.shape}")
     bad = np.argwhere(~np.isfinite(x))
@@ -76,14 +83,16 @@ def _checked_array(x, ndim: int, what: str) -> np.ndarray:
 
 def dense_arg(a, c: float, d: float) -> MatArg:
     """A square matrix; its symmetry is not checked."""
-    return MatArg("dense", _checked_array(a, 2, "square matrix"), c, d)
+    return MatArg(_checked_array(a, 2, "square matrix"), c, d)
 
 def tl_arg(a: tl.TLMatrix, c: float, d: float) -> MatArg:
-    return MatArg("tl", a, c, d)
+    if not isinstance(a, tl.TLMatrix):
+        raise DimensionError(f"tl_arg needs a TLMatrix, got {type(a).__name__}")
+    return MatArg(a, c, d)
 
 def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
     e = _checked_array(eigs, 1, "eigenvalue vector")
-    return MatArg("diagonal", e, float(e.min()) if c is None else c,
+    return MatArg(e, float(e.min()) if c is None else c,
                   float(e.max()) if d is None else d)
 
 
@@ -136,38 +145,38 @@ def _dense_inv(x):
     return out
 
 
+_DENSE = Ops(n=len, identity=np.eye,
+             shift=lambda x, z: x - z * np.eye(len(x)),
+             scale=lambda x, alpha: alpha * x,
+             add=lambda x, y: x + y,
+             mul=lambda x, y: x @ y,
+             inv=_dense_inv,
+             apply=lambda x, v: x @ v,
+             norm=lambda f, n: spectral_norm(f(np.eye(n))),
+             to_dense=lambda x: x)
+
 # the tl entries look tlalgebra's functions up at call time, so wrappers
 # installed on the module after import take effect
-_OPS = {
-    "dense": Ops(n=len, identity=np.eye,
-                 shift=lambda x, z: x - z * np.eye(len(x)),
-                 scale=lambda x, alpha: alpha * x,
-                 add=lambda x, y: x + y,
-                 mul=lambda x, y: x @ y,
-                 inv=_dense_inv,
-                 apply=lambda x, v: x @ v,
-                 norm=lambda f, n: spectral_norm(f(np.eye(n))),
-                 to_dense=lambda x: x),
-    "tl": Ops(n=lambda x: x.n,
-              identity=lambda n: tl.identity_tl(n),
-              shift=lambda x, z: tl.shift(x, z),
-              scale=lambda x, alpha: tl.scale(x, alpha),
-              add=lambda x, y: tl.compress(tl.add(x, y)),
-              mul=lambda x, y: tl.multiply(x, y),
-              inv=lambda x: tl.invert(x),
-              apply=lambda x, v: tl.matvec(x, v),
-              norm=lambda f, n: tl.norm_est(f, n),
-              to_dense=lambda x: tl.to_dense(x)),
-    "diagonal": Ops(n=len, identity=np.ones,
-                    shift=lambda x, z: x - z,
-                    scale=lambda x, alpha: alpha * x,
-                    add=lambda x, y: x + y,
-                    mul=lambda x, y: x * y,
-                    inv=lambda x: 1.0 / x,
-                    apply=lambda x, v: x * v,
-                    norm=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
-                    to_dense=np.diag),
-}
+_TL = Ops(n=lambda x: x.n,
+          identity=lambda n: tl.identity_tl(n),
+          shift=lambda x, z: tl.shift(x, z),
+          scale=lambda x, alpha: tl.scale(x, alpha),
+          add=lambda x, y: tl.compress(tl.add(x, y)),
+          mul=lambda x, y: tl.multiply(x, y),
+          inv=lambda x: tl.invert(x),
+          apply=lambda x, v: tl.matvec(x, v),
+          norm=lambda f, n: tl.norm_est(f, n),
+          to_dense=lambda x: tl.to_dense(x))
+
+_DIAGONAL = Ops(n=len, identity=np.ones,
+                shift=lambda x, z: x - z,
+                scale=lambda x, alpha: alpha * x,
+                add=lambda x, y: x + y,
+                mul=lambda x, y: x * y,
+                inv=lambda x: 1.0 / x,
+                apply=lambda x, v: x * v,
+                norm=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
+                to_dense=np.diag)
 
 
 def mat_to_dense(a: MatArg) -> np.ndarray:
@@ -195,7 +204,7 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
     inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
     recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
     rep = _checked_rep(r, a)
-    if a.kind == "diagonal":
+    if a.ops is _DIAGONAL:
         return replace(a, data=np.asarray(rep(a.data), dtype=float))
     ops = a.ops
     if isinstance(rep, PartialFraction):
@@ -299,6 +308,8 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
         raise DimensionError(f"unknown representation {rep!r}")
     if not ms or min(ms) < 1:
         raise InvalidInterval(f"degrees must be >= 1, got {ms!r}")
+    if not all(isinstance(m, (int, np.integer)) for m in ms):
+        raise InvalidInterval(f"degrees must be integers, got {ms!r}")
     if not (g.c <= a.c and a.d <= g.d):
         raise BoundInvalid(f"geometry [c, d] = [{g.c:.6g}, {g.d:.6g}] does not "
                            f"enclose the argument's [{a.c:.6g}, {a.d:.6g}]")
@@ -346,6 +357,8 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
         _checked_rep(r_mu, a)
         return r_mu
 
+    if not isinstance(m_max, (int, np.integer)):
+        raise InvalidInterval(f"degrees must be integers, got m_max = {m_max!r}")
     history, prev = [], None
     for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1), fitted):
         history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
@@ -387,15 +400,12 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
     ident = ops.identity(b.n)
     x = b.data
     m = b.data
-    phase = 1
     phase2_start = -1
-    phase2_steps = 0
     residuals = []
     mus = []
     for k in range(_MAX_NEWTON):
         # mu may start above 1 when cd < 1; the switch tests closeness to 1
-        if phase == 1 and abs(1.0 - mu ** 4) / mu ** 4 <= 1e-3:
-            phase = 2
+        if phase2_start < 0 and abs(1.0 - mu ** 4) / mu ** 4 <= 1e-3:
             phase2_start = k
             mu = 1.0
         mus.append(mu)
@@ -407,12 +417,10 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
                     ops.scale(x, mu / 2.0))
         res = _deviation(b, lambda v: ops.apply(m, v))
         residuals.append(res)
-        if phase == 2:
-            phase2_steps += 1
-        if res <= tol or (phase == 2 and phase2_steps >= _PHASE2_BUDGET):
+        if res <= tol or (phase2_start >= 0 and k + 1 - phase2_start >= _PHASE2_BUDGET):
             return SqrtResult(replace(b, data=x, c=math.sqrt(c), d=math.sqrt(d)),
                               tuple(residuals), tuple(mus), phase2_start)
-        if phase == 1:
+        if phase2_start < 0:
             mu = mu_next
             mu_next = math.sqrt(2.0 * mu / (1.0 + mu * mu))
     raise NoConvergence(f"Newton square root: ||I - M|| = {residuals[-1]:.3g} "
@@ -423,18 +431,15 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
 # Inverse scaling and squaring drivers
 # ---------------------------------------------------------------------------
 
-def _choice_ell(c: float, d: float) -> int:
+def _scaled_root(a: MatArg) -> tuple[int, MatArg]:
+    """(ell, A^(1/2^ell)) for the least ell with (d/c)^(1/2^ell) <= 10, by
+    ell Denman-Beavers square roots."""
     ell = 0
-    while (d / c) ** (1.0 / 2 ** ell) > 10.0:
+    while (a.d / a.c) ** (1.0 / 2 ** ell) > 10.0:
         ell += 1
-    return ell
-
-
-def _contract(a: MatArg, ell: int) -> MatArg:
-    out = a
     for _ in range(ell):
-        out = sqrt_db_newton(out).x
-    return out
+        a = sqrt_db_newton(a).x
+    return ell, a
 
 
 def _times_power(ops: Ops, out, x, k: int):
@@ -448,17 +453,15 @@ def _times_power(ops: Ops, out, x, k: int):
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
     """log(A) = 2^ell log(A^(1/2^ell)) with the inner log through the
     Markov function log(z)/(z-1): log(B) = (B - I) r_m(B)."""
-    ell = _choice_ell(a.c, a.d)
-    a_ell = _contract(a, ell)
+    ell, a_ell = _scaled_root(a)
     spec = log_spec()
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
     inner = auto_degree(spec, a_ell, g, rep, m_max)
     ops = a.ops
     out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0), inner.approximation.data),
                     float(2 ** ell))
-    approx = replace(inner.approximation, data=out)
-    return MatFunResult(approx, inner.m, inner.history, rep,
-                        inner.not_triggered, scaling=(ell, 0, None))
+    return replace(inner, approximation=replace(inner.approximation, data=out),
+                   scaling=(ell, 0, None))
 
 
 def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
@@ -469,26 +472,20 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     ops = a.ops
-    if gamma == 0.0:
-        ident = replace(a, data=ops.identity(a.n), c=1.0, d=1.0)
-        return MatFunResult(ident, 0, (), rep, scaling=(0, 0, 0.0))
-    ell = _choice_ell(a.c, a.d)
+    # A^0 = I takes the integral branch below without a square root
+    ell, a_ell = _scaled_root(a) if gamma != 0.0 else (0, a)
     gp_total = 2 ** ell * gamma
-    a_ell = _contract(a, ell)
-    lo = min(a.c ** gamma, a.d ** gamma)
-    hi = max(a.c ** gamma, a.d ** gamma)
+    lo, hi = sorted((a.c ** gamma, a.d ** gamma))
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
-        k = int(gp_total)
-        out = _times_power(ops, ops.identity(a.n), a_ell.data, k)
-        return MatFunResult(replace(a, data=out, c=lo, d=hi), 0, (), rep,
-                            scaling=(ell, k, 0.0))
-    k = math.floor(gp_total) + 1
-    gp = gp_total - k
-    spec = power_spec(gp)
-    g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
-    inner = auto_degree(spec, a_ell, g, rep, m_max)
+        k, gp = int(gp_total), 0.0
+        inner = MatFunResult(replace(a_ell, data=ops.identity(a.n)), 0, (), rep)
+    else:
+        k = math.floor(gp_total) + 1
+        gp = gp_total - k
+        spec = power_spec(gp)
+        g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
+        inner = auto_degree(spec, a_ell, g, rep, m_max)
     out = _times_power(ops, inner.approximation.data, a_ell.data, k)
-    approx = replace(a, data=out, c=lo, d=hi)
-    return MatFunResult(approx, inner.m, inner.history, rep,
-                        inner.not_triggered, scaling=(ell, k, gp))
+    return replace(inner, approximation=replace(a, data=out, c=lo, d=hi),
+                   scaling=(ell, k, gp))

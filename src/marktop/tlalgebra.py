@@ -137,6 +137,13 @@ def _require_finite(name: str, v: np.ndarray):
                           "Toeplitz entries must be finite")
 
 
+def _unit(n: int, k: int) -> np.ndarray:
+    """The unit vector e_k of length n; k = -1 gives en."""
+    u = np.zeros(n)
+    u[k] = 1.0
+    return u
+
+
 def from_toeplitz(col) -> TLMatrix:
     """Generator pair of the symmetric Toeplitz matrix with first column
     col, tagged with that column.
@@ -145,6 +152,8 @@ def from_toeplitz(col) -> TLMatrix:
     read off the defining diagonals, so the width is exactly 2.
     """
     col = np.asarray(col, dtype=float)
+    if col.ndim != 1 or col.size == 0:
+        raise DimensionError(f"need a nonempty first column, got shape {col.shape}")
     _require_finite("column", col)
     n = len(col)
     # with t_k = t_{-k} = col[k]:
@@ -152,17 +161,13 @@ def from_toeplitz(col) -> TLMatrix:
     # s_0 = 0, s_{i-1} = t_{n+1-i} + t_{i-1} (i >= 2)
     r_vec = np.append(col[:0:-1] - col[1:], 2.0 * col[0])
     s_vec = np.append(0.0, col[:0:-1] + col[1:])
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    en = np.zeros(n)
-    en[-1] = 1.0
-    g = np.column_stack([e1, s_vec])
-    b = np.column_stack([r_vec, en])
+    g = np.column_stack([_unit(n, 0), s_vec])
+    b = np.column_stack([r_vec, _unit(n, -1)])
     return TLMatrix(n, g, b, toeplitz=col.copy())
 
 
 def identity_tl(n: int) -> TLMatrix:
-    return from_toeplitz(np.concatenate([[1.0], np.zeros(n - 1)]))
+    return from_toeplitz(_unit(n, 0))
 
 
 def matvec(a: TLMatrix, x):
@@ -183,8 +188,7 @@ def to_dense(a: TLMatrix) -> np.ndarray:
     if a.toeplitz is not None:
         return scipy.linalg.toeplitz(a.toeplitz)
     n = a.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
+    e1 = _unit(n, 0)
     out = np.empty((n, n))
     np.matmul(-a.G, a.B[:-1].T, out=out[:, 1:])
     out[0] = matvec_t(a, e1)
@@ -210,12 +214,8 @@ def scale(a: TLMatrix, alpha: float) -> TLMatrix:
 
 def shift(a: TLMatrix, z: float) -> TLMatrix:
     """A - z I, preserving an exact-Toeplitz tag for Levinson solves."""
-    e1 = np.zeros(a.n)
-    e1[0] = 1.0
-    en = np.zeros(a.n)
-    en[-1] = 1.0
-    g = np.column_stack([a.G, e1])
-    b = np.column_stack([a.B, -2.0 * z * en])
+    g = np.column_stack([a.G, _unit(a.n, 0)])
+    b = np.column_stack([a.B, -2.0 * z * _unit(a.n, -1)])
     toe = None
     if a.toeplitz is not None:
         toe = a.toeplitz.copy()
@@ -228,12 +228,8 @@ def multiply(x: TLMatrix, y: TLMatrix) -> TLMatrix:
     if x.n != y.n:
         raise DimensionError(f"size mismatch {x.n} vs {y.n}")
     n = x.n
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    en = np.zeros(n)
-    en[-1] = 1.0
-    g = np.column_stack([x.G, matvec(x, y.G), -2.0 * matvec(x, e1)])
-    b = np.column_stack([matvec_t(y, x.B), y.B, matvec_t(y, en)])
+    g = np.column_stack([x.G, matvec(x, y.G), -2.0 * matvec(x, _unit(n, 0))])
+    b = np.column_stack([matvec_t(y, x.B), y.B, matvec_t(y, _unit(n, -1))])
     return compress(TLMatrix(n, g, b))
 
 
@@ -312,19 +308,16 @@ def invert(a: TLMatrix) -> TLMatrix:
     afterwards.
     """
     n, r = a.n, a.width
-    e1 = np.zeros((n, 1))
-    e1[0] = 1.0
     if a.toeplitz is not None:
         # Levinson is reached through the module-level solve, where a
         # tracer can count it
-        x = _gohberg_semencul(solve(a, e1[:, 0]), np.hstack([a.B, a.G]))
+        x = _gohberg_semencul(solve(a, _unit(n, 0)), np.hstack([a.B, a.G]))
         # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
         g = -np.roll(x[:, :r], 1, axis=0)
         b = np.roll(x[:, r:], -1, axis=0)
         b[-1] = -b[-1]
         return compress(TLMatrix(n, g, b))
-    en = np.zeros((n, 1))
-    en[-1] = 1.0
+    e1, en = _unit(n, 0)[:, None], _unit(n, -1)[:, None]
     dense = to_dense(a)
     if not np.all(np.isfinite(dense)):
         raise DomainError("the densified matrix has nonfinite entries")

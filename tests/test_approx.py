@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import marktop
 from marktop.approx import (apriori_bound, blaschke_eta, build_geometry,
                             condenser_rate, cross_ratio, disk_error_bound,
                             moebius_T, moebius_T_inv, optimal_nodes, phi,
@@ -222,3 +226,14 @@ def test_disk_error_bound():
     bad = custom_spec(lambda z: 1.0 / np.asarray(z), -2.0, -1.0)
     with pytest.raises(DomainError):
         disk_error_bound(bad, [0.0, 0.0], beta=-1.0)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # only blaschke_eta needs scipy.optimize, and imports it when called
+    code = ("import sys, marktop; "
+            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'; "
+            "marktop.blaschke_eta(marktop.build_geometry(-1.0, 0.0, 1.0, 4.0), [2.0]); "
+            "assert 'scipy.optimize' in sys.modules")
+    src = os.path.dirname(os.path.dirname(marktop.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from marktop import (DimensionError, DomainError, InvalidInterval, MatArg,
-                     TLMatrix, dense_arg, diag_arg, frac_power, inv_sqrt_spec)
+                     TLMatrix, auto_degree, build_geometry, dense_arg, diag_arg,
+                     frac_power, from_toeplitz, inv_sqrt_spec, optimal_nodes, tl_arg)
 from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
                                  laplacian1d)
 from marktop.interp import MAX_PFD_DEGREE, loewner_pfd
+from marktop.matfun import degree_sweep
 from marktop.tlalgebra import invert, read_toeplitz
 
 
@@ -18,7 +20,7 @@ def _short_file(tmp_path):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda tmp: MatArg("dense", np.eye(2), 2.0, 1.0),
+    pytest.param(lambda tmp: MatArg(np.eye(2), 2.0, 1.0),
                  DimensionError, "need 0 < c <= d", id="matarg-c-above-d"),
     pytest.param(_short_file, DimensionError, "expected 5 entries, got 4",
                  id="read-toeplitz-entry-count"),
@@ -54,6 +56,30 @@ def _short_file(tmp_path):
     pytest.param(lambda tmp: invert(TLMatrix(3, np.array([[1.0], [np.nan], [0.0]]),
                                              np.ones((3, 1)))),
                  DomainError, "nonfinite", id="invert-untagged-nan"),
+    pytest.param(lambda tmp: MatArg([1.0, 2.0], 1.0, 2.0),
+                 DimensionError, "TLMatrix or a 1-D or 2-D ndarray, got list",
+                 id="matarg-list"),
+    pytest.param(lambda tmp: MatArg(np.ones((2, 2, 2)), 1.0, 2.0),
+                 DimensionError, r"got ndarray\(2, 2, 2\)", id="matarg-3d"),
+    pytest.param(lambda tmp: tl_arg(np.eye(3), 1.0, 3.0),
+                 DimensionError, "needs a TLMatrix, got ndarray", id="tl-arg-ndarray"),
+    pytest.param(lambda tmp: dense_arg(from_toeplitz([2.0, 1.0]), 1.0, 3.0),
+                 DimensionError, "square matrix of numbers, got TLMatrix",
+                 id="dense-arg-tlmatrix"),
+    pytest.param(lambda tmp: from_toeplitz(np.eye(3)),
+                 DimensionError, r"first column, got shape \(3, 3\)", id="from-toeplitz-2d"),
+    pytest.param(lambda tmp: from_toeplitz([]),
+                 DimensionError, r"nonempty first column, got shape \(0,\)",
+                 id="from-toeplitz-empty"),
+    pytest.param(lambda tmp: optimal_nodes(build_geometry(-np.inf, 0.0, 1.0, 3.0), 1.5),
+                 InvalidInterval, "integer >= 1, got 1.5", id="optimal-nodes-non-integer"),
+    pytest.param(lambda tmp: auto_degree(inv_sqrt_spec(), diag_arg([1.0, 3.0]),
+                                         build_geometry(-np.inf, 0.0, 1.0, 3.0), m_max=2.5),
+                 InvalidInterval, "integers, got m_max = 2.5", id="auto-degree-non-integer"),
+    pytest.param(lambda tmp: next(degree_sweep(
+                     inv_sqrt_spec(), diag_arg([1.0, 3.0]),
+                     build_geometry(-np.inf, 0.0, 1.0, 3.0), "pfd", [1, 1.5], None)),
+                 InvalidInterval, r"integers, got \[1, 1.5\]", id="degree-sweep-non-integer"),
 ])
 def test_input_check_raises_typed_error(call, error, match, tmp_path):
     with pytest.raises(error, match=match):

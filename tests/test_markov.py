@@ -145,6 +145,16 @@ def test_complex_evaluator_off_the_axis_rejected():
     assert spec(np.array([3.0, 6.0])) == pytest.approx([1.0, 0.5])
 
 
+def test_nonfinite_evaluator_on_the_circle_rejected():
+    # nan beyond |z| = 2.5 lies on the circle |z - 2| = 1.6 of the coefficients
+    spec = custom_spec(lambda z: np.where(abs(z) > 2.5, np.nan, 1 / np.sqrt(z + 0j)),
+                       -math.inf, 0.0)
+    with pytest.raises(DomainError, match="need f finite on the circle"):
+        taylor_coeffs(spec, 2.0, 8)
+    with pytest.raises(DomainError, match="need f finite on the circle"):
+        check_hankel_definiteness(spec, 2.0, 3)
+
+
 def test_hankel_definiteness_passes_for_markov():
     assert check_hankel_definiteness(inv_sqrt_spec(), 2.0, 4) is True
     assert check_hankel_definiteness(worst_case_spec(-1.0, 0.0), 1.5, 4) is True

@@ -327,6 +327,31 @@ def test_run_experiment_rows_match_auto_degree():
         assert rep_rows[res.m - 1].rel_err == pytest.approx(err, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+def test_run_experiment_tau_is_the_generator_width(case):
+    # cases i and ii evaluate in generator form, iii and iv densely / entrywise
+    config = ExperimentConfig(inv_sqrt_spec(), gen_random_spd_toeplitz(16, 1.0, 10.0, 2),
+                              case, reps=("pfd",), m_max=3)
+    taus = [row.tau for row in run_experiment(config)]
+    assert len(taus) == 3
+    if case in ("i", "ii"):
+        assert all(tau > 0 for tau in taus)
+    else:
+        assert taus == [0, 0, 0]
+
+
+def test_data_picks_the_arithmetic():
+    # a 2-D diagonal matrix is dense data, a 1-D array its eigenvalues
+    eigs = np.array([1.0, 2.0, 3.0])
+    g, r = markov_interpolant(1.0, 3.0, 3)
+    dense = eval_rational_at_matrix(r, MatArg(np.diag(eigs), 1.0, 3.0)).data
+    diagonal = eval_rational_at_matrix(r, MatArg(eigs, 1.0, 3.0)).data
+    assert dense.shape == (3, 3) and diagonal.shape == (3,)
+    np.testing.assert_allclose(dense, np.diag(diagonal), rtol=1e-13, atol=1e-15)
+    res = auto_degree(inv_sqrt_spec(), MatArg(eigs, 1.0, 3.0), g, "pfd", m_max=6)
+    np.testing.assert_allclose(res.approximation.data, eigs ** -0.5, rtol=1e-6)
+
+
 def _kind_args():
     t = gen_random_spd_toeplitz(32, 1.0, 50.0, 3)
     dense = scipy.linalg.toeplitz(t.toeplitz)
