@@ -31,6 +31,7 @@ from .interp import (REPRESENTATIONS, PartialFraction, RationalInterpolant,
 from .markov import MarkovSpec, log_spec, power_spec, worst_case_spec
 
 _EPS = np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,9 @@ class MatArg:
     d: float
 
     def __post_init__(self):
-        self.ops  # any other data raises DimensionError
+        # ops raises DimensionError on any other data
+        if self.ops is _DENSE and self.data.shape[0] != self.data.shape[1]:
+            raise DimensionError(f"need a square matrix, got shape {self.data.shape}")
         if not (0 < self.c <= self.d):
             raise DimensionError(f"need 0 < c <= d, got [{self.c}, {self.d}]")
 
@@ -219,23 +222,17 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
             out = ops.add(ops.scale(ident, p[j]),
                           ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)))
         return replace(a, data=ops.inv(out))
-    # barycentric: accumulate prod_{k != j} (A - t_k I) via prefix/suffix
-    t = rep.support
-    mlen = len(t)
-    prefix = [ident]
-    for k in range(mlen - 1):
-        prefix.append(ops.mul(prefix[-1], ops.shift(a.data, t[k])))
-    suffix = [ident]
-    for k in range(mlen - 1, 0, -1):
-        suffix.append(ops.mul(ops.shift(a.data, t[k]), suffix[-1]))
-    suffix.reverse()
-    num = den = None
+    # barycentric: running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
+    # give sum_j c_j prod_{k != j} (A - t_k I) for c_j = f_j w_j and c_j = w_j
+    lead, mlen = ident, len(rep.support)
     for j in range(mlen):
-        pj = ops.mul(prefix[j], suffix[j])
-        nj = ops.scale(pj, rep.values[j] * rep.weights[j])
-        dj = ops.scale(pj, rep.weights[j])
-        num = nj if num is None else ops.add(num, nj)
-        den = dj if den is None else ops.add(den, dj)
+        s = ops.shift(a.data, rep.support[j])
+        nj = ops.scale(lead, rep.values[j] * rep.weights[j])
+        dj = ops.scale(lead, rep.weights[j])
+        num = nj if j == 0 else ops.add(ops.mul(num, s), nj)
+        den = dj if j == 0 else ops.add(ops.mul(den, s), dj)
+        if j < mlen - 1:
+            lead = ops.mul(lead, s)
     return replace(a, data=ops.mul(num, ops.inv(den)))
 
 
@@ -338,6 +335,9 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
 
 @dataclass(frozen=True)
 class MatFunResult:
+    """approximation holds f(A) with the argument's own [c, d], not bounds
+    of the spectrum of f(A)."""
+
     approximation: MatArg
     m: int
     history: tuple  # rows (m, residual, apriori or None, accepted)
@@ -443,10 +443,15 @@ def _scaled_root(a: MatArg) -> tuple[int, MatArg]:
 
 
 def _times_power(ops: Ops, out, x, k: int):
-    """out x^k by repeated products, with one inverse when k < 0."""
-    base = x if k >= 0 else ops.inv(x)
-    for _ in range(abs(k)):
-        out = ops.mul(out, base)
+    """out x^k by repeated squaring, O(log |k|) products, with one inverse
+    when k < 0."""
+    base, k = (x, k) if k >= 0 else (ops.inv(x), -k)
+    while k:
+        if k & 1:
+            out = ops.mul(out, base)
+        k >>= 1
+        if k:
+            base = ops.mul(base, base)
     return out
 
 
@@ -460,8 +465,7 @@ def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResul
     ops = a.ops
     out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0), inner.approximation.data),
                     float(2 ** ell))
-    return replace(inner, approximation=replace(inner.approximation, data=out),
-                   scaling=(ell, 0, None))
+    return replace(inner, approximation=replace(a, data=out), scaling=(ell, 0, None))
 
 
 def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
@@ -471,11 +475,13 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     r approximates z^g' and A_ell = A^(1/2^ell)."""
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
+    if abs(gamma) * max(abs(math.log(a.c)), abs(math.log(a.d))) > _LOG_MAX:
+        raise InvalidInterval(f"power exponent {gamma} takes [{a.c}, {a.d}] "
+                              "beyond the float range")
     ops = a.ops
     # A^0 = I takes the integral branch below without a square root
     ell, a_ell = _scaled_root(a) if gamma != 0.0 else (0, a)
     gp_total = 2 ** ell * gamma
-    lo, hi = sorted((a.c ** gamma, a.d ** gamma))
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
         k, gp = int(gp_total), 0.0
@@ -487,5 +493,4 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
         g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
         inner = auto_degree(spec, a_ell, g, rep, m_max)
     out = _times_power(ops, inner.approximation.data, a_ell.data, k)
-    return replace(inner, approximation=replace(a, data=out, c=lo, d=hi),
-                   scaling=(ell, k, gp))
+    return replace(inner, approximation=replace(a, data=out), scaling=(ell, k, gp))

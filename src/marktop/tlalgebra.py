@@ -12,9 +12,9 @@ skew-circulant factors.
 
 Matrices that are exactly symmetric Toeplitz (or shifted symmetric
 Toeplitz) additionally carry their first column, so linear solves use the
-Levinson recursion without ever forming dense n x n arrays and an inverse
-costs one Levinson recursion plus FFT products (Gohberg-Semencul).  Every
-other inverse goes through one dense LU factorization.
+Levinson recursion without ever forming dense n x n arrays, and the
+generator of an inverse is written in O(n) from the one Levinson solve for
+A^{-1} e1.  Every other inverse goes through one dense LU factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 from scipy.linalg import lapack
 
@@ -99,8 +98,8 @@ class TLMatrix:
 
     ``toeplitz`` carries the first column when the matrix is exactly
     symmetric Toeplitz.  Solves need that tag (Levinson); inverses choose
-    their method from it alone: the Gohberg-Semencul inverse for tagged
-    matrices, one dense LU otherwise.
+    their method from it alone: the closed-form generator of A^{-1} from
+    A^{-1} e1 for tagged matrices, one dense LU otherwise.
     """
 
     n: int
@@ -274,48 +273,35 @@ def solve(a: TLMatrix, rhs):
 solve_t = solve
 
 
-def _gohberg_semencul(x, y):
-    """A^{-1} y for a symmetric Toeplitz A, from x = A^{-1} e1 alone.
-
-    A^{-1} = (L(x) L(x)^T - L(w) L(w)^T) / x0 with w = Z J x, where L(v) is
-    lower-triangular Toeplitz with first column v, Z the down-shift without
-    wrap and J the reversal (Gohberg & Semencul 1972).  L(v)^T = J L(v) J,
-    so each triangular product is a zero-padded rfft convolution, batched
-    over both factors and the columns of y (n, p): O(n log n) per column.
-    """
-    if x[0] == 0.0:
-        raise SingularMatrix("A^-1 e1 has first entry 0")
-    n = len(x)
-    m = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    spec = np.fft.rfft(np.stack([x, np.append(0.0, x[:0:-1])]), m)  # (2, k)
-    fy = np.fft.rfft(y[::-1].T, m)                                     # (p, k)
-    u = np.fft.irfft(spec[:, None, :] * fy, m)[..., n - 1::-1]          # (2, p, n)
-    s = np.einsum("ik,ipk->pk", spec * [[1.0], [-1.0]], np.fft.rfft(u, m))
-    return np.fft.irfft(s, m)[:, :n].T / x[0]
-
-
 def invert(a: TLMatrix) -> TLMatrix:
     """Generator pair of A^{-1} via structured solves.
 
-    Tagged data: S(A^{-1}) = -(Z1 A^{-1}B)(Z_{-1}^T A^{-1}G)^T, width tau,
-    with A^{-1} applied to [B | G] by the Gohberg-Semencul formula from a
-    single Levinson solve for A^{-1} e1.  Every other matrix, width tau + 2
-    from
+    Tagged data: X = A^{-1} follows from x = X e1, one Levinson solve.  With
+    Z the down-shift without wrap, J the reversal and w = Z J x, the
+    persymmetry en^T X = (Jx)^T and the Stein form of Gohberg-Semencul,
+    X - Z X Z^T = (x x^T - w w^T)/x0, give in O(n) the width-4 generator
+
+    S(X) = (x + w) en^T - x (Z^T x)^T/x0 + w (Z^T w)^T/x0 + e1 (Jx)^T.
+
+    Every other matrix, width tau + 2 from
 
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
-    with the right-hand sides stacked on one LU of the dense A, compressed
-    afterwards.
+    with the right-hand sides stacked on one LU of the dense A.  Both are
+    compressed afterwards.
     """
     n, r = a.n, a.width
     if a.toeplitz is not None:
         # Levinson is reached through the module-level solve, where a
         # tracer can count it
-        x = _gohberg_semencul(solve(a, _unit(n, 0)), np.hstack([a.B, a.G]))
-        # Z1 x is a cyclic down-shift; Zm1^T x is an up-shift negating the wrap
-        g = -np.roll(x[:, :r], 1, axis=0)
-        b = np.roll(x[:, r:], -1, axis=0)
-        b[-1] = -b[-1]
+        x = solve(a, _unit(n, 0))
+        if x[0] == 0.0:
+            raise SingularMatrix("A^-1 e1 has first entry 0")
+        w = np.append(0.0, x[:0:-1])
+        # Z^T v is the up-shift of v
+        g = np.column_stack([x + w, -x / x[0], w / x[0], _unit(n, 0)])
+        b = np.column_stack([_unit(n, -1), np.append(x[1:], 0.0),
+                             np.append(w[1:], 0.0), x[::-1]])
         return compress(TLMatrix(n, g, b))
     e1, en = _unit(n, 0)[:, None], _unit(n, -1)[:, None]
     dense = to_dense(a)

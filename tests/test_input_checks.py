@@ -59,6 +59,12 @@ def _short_file(tmp_path):
     pytest.param(lambda tmp: MatArg([1.0, 2.0], 1.0, 2.0),
                  DimensionError, "TLMatrix or a 1-D or 2-D ndarray, got list",
                  id="matarg-list"),
+    pytest.param(lambda tmp: MatArg(np.ones((2, 3)), 1.0, 2.0),
+                 DimensionError, r"square matrix, got shape \(2, 3\)", id="matarg-not-square"),
+    pytest.param(lambda tmp: frac_power(diag_arg(np.array([1.0, 2.0])), 1e6),
+                 InvalidInterval, "beyond the float range", id="frac-power-overflow"),
+    pytest.param(lambda tmp: frac_power(diag_arg(np.array([0.5, 0.9])), 1e300),
+                 InvalidInterval, "beyond the float range", id="frac-power-huge-integral"),
     pytest.param(lambda tmp: MatArg(np.ones((2, 2, 2)), 1.0, 2.0),
                  DimensionError, r"got ndarray\(2, 2, 2\)", id="matarg-3d"),
     pytest.param(lambda tmp: tl_arg(np.eye(3), 1.0, 3.0),

@@ -251,6 +251,25 @@ def test_auto_degree_tl_reaches_dense_accuracy():
     assert err <= 1e-13
 
 
+@pytest.mark.parametrize("kappa", [1e4, 1e6])
+def test_auto_degree_tl_pfd_as_accurate_as_dense(kappa):
+    # the tagged inverse's generator is written from A^{-1} e1 without
+    # further rounding, so the TL pole sum keeps up with the dense one at
+    # high condition numbers
+    t = gen_random_spd_toeplitz(128, 1.0, kappa, 0)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    eigs = np.linalg.eigvalsh(dense)
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, eigs[0], eigs[-1])
+    oracle = dense_f_oracle(spec, dense)
+    errs = []
+    for arg in (tl_arg(t, eigs[0], eigs[-1]), dense_arg(dense, eigs[0], eigs[-1])):
+        res = auto_degree(spec, arg, g, "pfd", 30)
+        errs.append(np.linalg.norm(mat_to_dense(res.approximation) - oracle, 2)
+                    / np.linalg.norm(oracle, 2))
+    assert errs[0] <= 10.0 * errs[1]
+
+
 def test_auto_degree_tl_residuals_nonzero_and_seed_independent():
     # SPD Toeplitz matrices with the same spectral interval [1, 2]: the
     # degree follows from the interval, not from rounding in the residual
@@ -550,6 +569,27 @@ def test_frac_power_tl_argument():
     want = v @ np.diag(w ** (-1.0 / 3.0)) @ v.T
     err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2)
     assert err <= 1e-10 * np.linalg.norm(want, 2)
+
+
+def test_frac_power_large_integral_exponent_by_squaring():
+    # gamma = 1e9 is one integral power, taken in O(log gamma) products;
+    # its condition number is gamma, so 1e9 eps bounds the rounding
+    lam = np.array([1.0, 1.0 + 1e-12])
+    want = lam ** 1e9
+    for a in (diag_arg(lam), dense_arg(np.diag(lam), lam[0], lam[1])):
+        res = frac_power(a, 1e9)
+        assert res.scaling == (0, 10 ** 9, 0.0)
+        got = np.diag(mat_to_dense(res.approximation))
+        np.testing.assert_allclose(got, want, rtol=1e9 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("driver", [log_via_scaling, lambda a: frac_power(a, -0.7)],
+                         ids=["log", "frac_power"])
+def test_drivers_return_the_arguments_bounds(driver):
+    # the approximation carries A's [c, d], not those of A^(1/2^ell) or A^gamma
+    res = driver(diag_arg(np.linspace(1.0, 100.0, 20)))
+    assert res.scaling[0] >= 1
+    assert (res.approximation.c, res.approximation.d) == (1.0, 100.0)
 
 
 # ------------------------------------------------------------- dense kernels

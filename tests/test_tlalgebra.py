@@ -225,8 +225,8 @@ def test_invert_symmetric_toeplitz_matches_dense_inverse(kind, n):
 
 
 def test_invert_symmetric_toeplitz_runs_one_recursion(levinson_calls, dense_calls):
-    # Gohberg-Semencul: A^{-1} follows from A^{-1} e1 alone, however wide
-    # the generator it is applied to
+    # the generator of A^{-1} is written from A^{-1} e1 alone, however wide
+    # the generator of A
     n = 256
     a = symmetric_toeplitz_case("shifted-spd", n)
     assert a.width == 3
