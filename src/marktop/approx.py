@@ -164,8 +164,6 @@ def phi(g: Geometry, z: float) -> float:
 
 
 def phi_inv(g: Geometry, w: float) -> float:
-    if math.isinf(w):
-        return moebius_T(g, _INF)
     y = 0.5 * (w + 1.0 / w)
     return moebius_T(g, y)
 
@@ -270,21 +268,20 @@ def relative_error_bound(g: Geometry, nodes, positive_case: bool = False) -> flo
 _DISK_GRID = 4001
 
 
-def disk_error_bound(spec: MarkovSpec, nodes: Sequence[complex], beta: float | None = None) -> float:
+def disk_error_bound(spec: MarkovSpec, nodes: Sequence[complex]) -> float:
     """Absolute-error bound on the closed unit disk for interpolation
     points of even multiplicity (each repetition listed in ``nodes``).
 
-    Requires beta < -1; returns C * max over [alpha, beta] of
+    Requires the spec's beta < -1; returns C * max over [alpha, beta] of
     |prod (1 - z z_j) / (z - z_j)| with C = (1 - beta)/(-1 - beta) * f(-1).
     """
-    b = spec.beta if beta is None else beta
+    a, b = spec.alpha, spec.beta
     if b >= -1.0:
         raise DomainError(f"disk bound requires beta < -1, got {b}")
     cconst = (1.0 - b) / (-1.0 - b) * eval_markov(spec, -1.0)
     node_arr = np.asarray(nodes, dtype=complex)
     if node_arr.size == 0:
         return float(cconst)
-    a = spec.alpha
     lo = a if math.isfinite(a) else b - 1e6 * (1.0 + abs(b))
     zs = np.linspace(lo, b, _DISK_GRID)
     prod = np.ones(_DISK_GRID)

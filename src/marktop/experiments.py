@@ -20,6 +20,7 @@ from . import matfun as mf
 from . import tlalgebra as tl
 from .approx import build_geometry
 from .errors import DimensionError
+from .interp import interp_error_scan
 from .markov import MarkovSpec
 
 CSV_HEADER = ["case", "rep", "m", "rel_err", "apriori", "residual",
@@ -169,10 +170,9 @@ def scalar_scan(spec: MarkovSpec, c: float, d: float, m_range,
     grid = cosine_points(SCAN_GRID_SIZE, c, d)
     g = build_geometry(spec.alpha, spec.beta, c, d)
     arg = mf.diag_arg(grid, c, d)
-    fz = np.asarray(spec(grid), dtype=float)
 
     def measure(r):
-        return float(np.max(np.abs(1.0 - np.asarray(r(grid)) / fz))), 0
+        return interp_error_scan(spec, r, grid)[0], 0
 
     return [_row("scalar", rep, rec)
             for rep in reps

@@ -1,8 +1,8 @@
 """Rational interpolants of type [m-1|m] in three representations: Loewner
 partial fractions, barycentric, and Thiele continued fractions.
 
-All constructors take ``samples``: a sequence of (z_j, f(z_j)) pairs with
-distinct real nodes ordered increasingly (beta < c <= z_1 < ... <= d).
+All constructors take ``samples``, (z_j, f(z_j)) pairs at distinct real
+nodes in [c, d]; the Loewner and barycentric fits read m from their count 2m.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _split_samples(samples):
     return zs[order], fs[order]
 
 
-def loewner_pfd(samples, m: int, interval: tuple[float, float] | None = None) -> PartialFraction:
+def loewner_pfd(samples, interval: tuple[float, float] | None = None) -> PartialFraction:
     """Partial fraction decomposition via the Loewner matrix pencil.
 
     Poles are the generalized eigenvalues of (L_s, L) built from the
@@ -117,11 +117,11 @@ def loewner_pfd(samples, m: int, interval: tuple[float, float] | None = None) ->
     2m x m Cauchy least-squares system.  ``interval`` = (alpha, beta), if
     given, triggers a warning for poles escaping it.
     """
-    if m > MAX_PFD_DEGREE:
-        raise InvalidInterval(f"m must be <= {MAX_PFD_DEGREE}")
     zs, fs = _split_samples(samples)
-    if len(zs) != 2 * m:
-        raise InvalidInterval(f"need 2m = {2 * m} samples, got {len(zs)}")
+    if len(zs) % 2 or not len(zs):
+        raise InvalidInterval(f"need 2m >= 2 samples, got {len(zs)}")
+    if len(zs) > 2 * MAX_PFD_DEGREE:
+        raise InvalidInterval(f"m must be <= {MAX_PFD_DEGREE}")
     z_odd, f_odd = zs[0::2], fs[0::2]   # columns
     z_even, f_even = zs[1::2], fs[1::2]  # rows
     dz = z_even[:, None] - z_odd[None, :]
@@ -155,12 +155,14 @@ def loewner_pfd(samples, m: int, interval: tuple[float, float] | None = None) ->
     return PartialFraction(tuple(poles.tolist()), tuple(res.tolist()))
 
 
-def barycentric_fit(samples, m: int) -> Barycentric:
-    """Type-[m-1|m] barycentric interpolant with weights from the nullspace
-    of the bordered Loewner system, support interlacing the remaining nodes."""
+def barycentric_fit(samples) -> Barycentric:
+    """Type-[m-1|m] barycentric interpolant of 2m samples with weights from
+    the nullspace of the bordered Loewner system, support interlacing the
+    remaining nodes.  All-zero data gives some nullspace vector: r = 0."""
     zs, fs = _split_samples(samples)
-    if len(zs) != 2 * m:
-        raise InvalidInterval(f"need 2m = {2 * m} samples, got {len(zs)}")
+    if len(zs) % 2 or not len(zs):
+        raise InvalidInterval(f"need 2m >= 2 samples, got {len(zs)}")
+    m = len(zs) // 2
     sup_idx = np.concatenate([[0], np.arange(1, 2 * m, 2)])
     int_idx = np.arange(2, 2 * m - 1, 2)
     t, ft = zs[sup_idx], fs[sup_idx]
@@ -169,12 +171,9 @@ def barycentric_fit(samples, m: int) -> Barycentric:
     # extra equation sum f(t_j) w_j = 0 pins the numerator degree to m-1
     rows = np.vstack([loew, ft[None, :]])
     _, sv, vt = np.linalg.svd(rows)
-    if sv.size and sv[0] > 0.0:
-        if sv.size >= 2 and sv[-2] > 0.0 and (sv[-2] - sv[-1]) <= 1e-12 * sv[-2]:
-            raise RankDeficiency("nullspace of the interpolation system is not unique")
-        w = vt[-1]
-    else:
-        w = np.ones(len(t))  # zero system (all-zero data): any weights work
+    if sv.size >= 2 and sv[-2] > 0.0 and (sv[-2] - sv[-1]) <= 1e-12 * sv[-2]:
+        raise RankDeficiency("nullspace of the interpolation system is not unique")
+    w = vt[-1]
     return Barycentric(tuple(t.tolist()), tuple(w.tolist()), tuple(ft.tolist()))
 
 
@@ -216,11 +215,10 @@ def fit_interpolant(f, nodes, representation: str = "pfd",
     zs = np.asarray(nodes, dtype=float)
     fs = np.asarray(f(zs), dtype=float)
     samples = np.column_stack([zs, fs])
-    m = len(zs) // 2
     if representation == "pfd":
-        rep = loewner_pfd(samples, m, interval=interval)
+        rep = loewner_pfd(samples, interval=interval)
     elif representation == "barycentric":
-        rep = barycentric_fit(samples, m)
+        rep = barycentric_fit(samples)
     else:
         rep = thiele_fit(samples)
     r = RationalInterpolant(rep, tuple(zs.tolist()))
@@ -229,7 +227,7 @@ def fit_interpolant(f, nodes, representation: str = "pfd",
     resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]))
     if resid > TOL_INTERP:
         warnings.warn(f"interpolation residual {resid:.2e} above {TOL_INTERP:.0e} "
-                      f"({representation}, m={m})", stacklevel=2)
+                      f"({representation}, m={len(zs) // 2})", stacklevel=2)
     return r
 
 

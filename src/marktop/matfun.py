@@ -385,12 +385,12 @@ class SqrtResult:
 
 
 _MAX_NEWTON = 25
-_PHASE2_BUDGET = 5
 
 
 def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
     """Product-form Denman-Beavers iteration with the optimal scaling
-    schedule; mu is frozen at 1 once (1 - mu^4)/mu^4 <= 1e-3."""
+    schedule; mu is frozen at 1 once (1 - mu^4)/mu^4 <= 1e-3.  Returns the
+    first root with ||I - M_k|| <= tol; NoConvergence after _MAX_NEWTON steps."""
     c, d = b.c, b.d
     if tol is None:
         tol = 10.0 * b.n * _EPS * (d / c)
@@ -417,7 +417,7 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
                     ops.scale(x, mu / 2.0))
         res = _deviation(b, lambda v: ops.apply(m, v))
         residuals.append(res)
-        if res <= tol or (phase2_start >= 0 and k + 1 - phase2_start >= _PHASE2_BUDGET):
+        if res <= tol:
             return SqrtResult(replace(b, data=x, c=math.sqrt(c), d=math.sqrt(d)),
                               tuple(residuals), tuple(mus), phase2_start)
         if phase2_start < 0:

@@ -10,11 +10,11 @@ matrices have r <= 2 and every operation below tracks generators only;
 matrix-vector products run in O(r n log n) through FFTs of circulant and
 skew-circulant factors.
 
-Matrices that are exactly symmetric Toeplitz (or shifted symmetric
-Toeplitz) additionally carry their first column, so linear solves use the
-Levinson recursion without ever forming dense n x n arrays, and the
-generator of an inverse is written in O(n) from the one Levinson solve for
-A^{-1} e1.  Every other inverse goes through one dense LU factorization.
+Exactly symmetric Toeplitz matrices carry their first column (the tag) and
+a width <= 2 generator; ``from_toeplitz`` rebuilds tagged sums and shifts.
+Their solves run the Levinson recursion without dense n x n arrays, and an
+inverse's generator is written in O(n) from the Levinson solve for
+A^{-1} e1.  Any other inverse takes one dense LU.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ def to_dense(a: TLMatrix) -> np.ndarray:
 
 
 def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
+    """A + B; a sum of tagged matrices is rebuilt from its column."""
     if a.n != b.n:
         raise DimensionError(f"size mismatch {a.n} vs {b.n}")
-    toe = None
     if a.toeplitz is not None and b.toeplitz is not None:
-        toe = a.toeplitz + b.toeplitz
-    return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]), toeplitz=toe)
+        return from_toeplitz(a.toeplitz + b.toeplitz)
+    return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]))
 
 
 def scale(a: TLMatrix, alpha: float) -> TLMatrix:
@@ -212,14 +212,12 @@ def scale(a: TLMatrix, alpha: float) -> TLMatrix:
 
 
 def shift(a: TLMatrix, z: float) -> TLMatrix:
-    """A - z I, preserving an exact-Toeplitz tag for Levinson solves."""
+    """A - z I; a tagged A is rebuilt from its shifted column."""
+    if a.toeplitz is not None:
+        return from_toeplitz(a.toeplitz - z * _unit(a.n, 0))
     g = np.column_stack([a.G, _unit(a.n, 0)])
     b = np.column_stack([a.B, -2.0 * z * _unit(a.n, -1)])
-    toe = None
-    if a.toeplitz is not None:
-        toe = a.toeplitz.copy()
-        toe[0] -= z
-    return TLMatrix(a.n, g, b, toeplitz=toe)
+    return TLMatrix(a.n, g, b)
 
 
 def multiply(x: TLMatrix, y: TLMatrix) -> TLMatrix:
@@ -288,7 +286,7 @@ def invert(a: TLMatrix) -> TLMatrix:
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
     with the right-hand sides stacked on one LU of the dense A.  Both are
-    compressed afterwards.
+    compressed afterwards; the tagged formula never reads A's generator.
     """
     n, r = a.n, a.width
     if a.toeplitz is not None:

@@ -112,6 +112,15 @@ def test_phi_endpoint_values_and_roundtrip():
         phi(g, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [-INF, -1.0])
+def test_phi_inv_at_infinity_is_the_limit_of_T(alpha):
+    # w = +-inf makes y = +-inf, where T takes its single limit
+    g = build_geometry(alpha, 0.0, 0.5, 2.0)
+    want = moebius_T(g, INF)
+    assert phi_inv(g, INF) == phi_inv(g, -INF) == want
+    assert phi_inv(g, 1e300) == pytest.approx(want, rel=1e-12)
+
+
 def test_phi_T_identity_on_grid():
     g = build_geometry(-2.0, -1.0, 1.0, 5.0)
     for z in np.linspace(1.0, 5.0, 11):
@@ -225,7 +234,7 @@ def test_disk_error_bound():
         assert got == pytest.approx(3.0 * 0.5 ** (2 * m), rel=1e-3)
     bad = custom_spec(lambda z: 1.0 / np.asarray(z), -2.0, -1.0)
     with pytest.raises(DomainError):
-        disk_error_bound(bad, [0.0, 0.0], beta=-1.0)
+        disk_error_bound(bad, [0.0, 0.0])
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from marktop import (DimensionError, DomainError, InvalidInterval, MatArg,
-                     TLMatrix, auto_degree, build_geometry, dense_arg, diag_arg,
-                     frac_power, from_toeplitz, inv_sqrt_spec, optimal_nodes, tl_arg)
+                     TLMatrix, auto_degree, build_geometry, check_hankel_definiteness,
+                     dense_arg, diag_arg, frac_power, from_toeplitz, inv_sqrt_spec,
+                     optimal_nodes, tl_arg)
 from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
                                  laplacian1d)
-from marktop.interp import MAX_PFD_DEGREE, loewner_pfd
+from marktop.interp import MAX_PFD_DEGREE, barycentric_fit, loewner_pfd
 from marktop.matfun import degree_sweep
 from marktop.tlalgebra import invert, read_toeplitz
 
@@ -24,10 +25,13 @@ def _short_file(tmp_path):
                  DimensionError, "need 0 < c <= d", id="matarg-c-above-d"),
     pytest.param(_short_file, DimensionError, "expected 5 entries, got 4",
                  id="read-toeplitz-entry-count"),
-    pytest.param(lambda tmp: loewner_pfd([(1.0, 1.0), (1.0, 1.0)], 1),
+    pytest.param(lambda tmp: loewner_pfd([(1.0, 1.0), (1.0, 1.0)]),
                  InvalidInterval, "distinct", id="duplicate-nodes"),
-    pytest.param(lambda tmp: loewner_pfd([], MAX_PFD_DEGREE + 1),
+    pytest.param(lambda tmp: loewner_pfd([(k + 1.0, 1.0 / (k + 1.0))
+                                          for k in range(2 * (MAX_PFD_DEGREE + 1))]),
                  InvalidInterval, f"m must be <= {MAX_PFD_DEGREE}", id="pfd-degree-cap"),
+    pytest.param(lambda tmp: barycentric_fit([]),
+                 InvalidInterval, "need 2m >= 2 samples, got 0", id="fit-no-samples"),
     pytest.param(lambda tmp: ExperimentConfig(inv_sqrt_spec(), laplacian1d(4), "v"),
                  DimensionError, "unknown case 'v'", id="unknown-case"),
     pytest.param(lambda tmp: dense_f_oracle(
@@ -86,6 +90,8 @@ def _short_file(tmp_path):
                      inv_sqrt_spec(), diag_arg([1.0, 3.0]),
                      build_geometry(-np.inf, 0.0, 1.0, 3.0), "pfd", [1, 1.5], None)),
                  InvalidInterval, r"integers, got \[1, 1.5\]", id="degree-sweep-non-integer"),
+    pytest.param(lambda tmp: check_hankel_definiteness(inv_sqrt_spec(), 2.0, -1),
+                 DimensionError, "must be nonnegative, got n = -1", id="hankel-negative-n"),
 ])
 def test_input_check_raises_typed_error(call, error, match, tmp_path):
     with pytest.raises(error, match=match):

@@ -24,7 +24,7 @@ def cosine_grid(c, d, n=500):
 
 def test_loewner_m1_inv_z():
     # L = -1/2, L_s = 0 -> pole 0, residual 1
-    pfd = loewner_pfd([(1.0, 1.0), (2.0, 0.5)], 1)
+    pfd = loewner_pfd([(1.0, 1.0), (2.0, 0.5)])
     assert pfd.poles[0] == pytest.approx(0.0, abs=1e-14)
     assert pfd.residuals[0] == pytest.approx(1.0, abs=1e-13)
     assert pfd(1.0) == pytest.approx(1.0)
@@ -34,7 +34,7 @@ def test_loewner_m1_inv_z():
 def test_loewner_exact_degree_0_1():
     a, x = 2.0, -3.0
     f = lambda z: a / (z - x)
-    pfd = loewner_pfd([(1.0, f(1.0)), (2.5, f(2.5))], 1)
+    pfd = loewner_pfd([(1.0, f(1.0)), (2.5, f(2.5))])
     assert pfd.poles[0] == pytest.approx(x, rel=1e-12)
     assert pfd.residuals[0] == pytest.approx(a, rel=1e-12)
 
@@ -43,7 +43,7 @@ def test_loewner_m3_inv_sqrt_interpolates():
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
     nodes = optimal_nodes(g, 3)
     samples = [(z, 1.0 / math.sqrt(z)) for z in nodes]
-    pfd = loewner_pfd(samples, 3)
+    pfd = loewner_pfd(samples)
     resid = max(abs(1.0 - pfd(z) / fz) for z, fz in samples)
     assert resid <= 1e-12
 
@@ -53,20 +53,21 @@ def test_loewner_pfd_structure_for_markov_data():
     g = build_geometry(-INF, 0.0, 0.5, 2.0)
     for m in (1, 2, 4, 6):
         nodes = optimal_nodes(g, m)
-        pfd = loewner_pfd([(z, z ** -0.5) for z in nodes], m, interval=(-INF, 0.0))
+        pfd = loewner_pfd([(z, z ** -0.5) for z in nodes], interval=(-INF, 0.0))
         assert all(x < 0.0 for x in pfd.poles)
         assert all(a > 0.0 for a in pfd.residuals)
 
 
 def test_loewner_sample_count_check():
     with pytest.raises(InvalidInterval):
-        loewner_pfd([(1.0, 1.0), (2.0, 0.5)], 2)
+        # an [m-1|m] fit takes an even number 2m of samples
+        loewner_pfd([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
 
 
 # ------------------------------------------------------------ barycentric_fit
 
 def test_barycentric_m1m_inv_z_recovery():
-    r = barycentric_fit([(1.0, 1.0), (2.0, 0.5)], 1)
+    r = barycentric_fit([(1.0, 1.0), (2.0, 0.5)])
     assert r(3.0) == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
@@ -74,7 +75,7 @@ def test_barycentric_m3_inv_sqrt_interpolates():
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
     nodes = optimal_nodes(g, 3)
     samples = [(z, 1.0 / math.sqrt(z)) for z in nodes]
-    r = barycentric_fit(samples, 3)
+    r = barycentric_fit(samples)
     # the interior (non-support) nodes are interpolated through the nullspace
     # solve; the support nodes are exact by construction
     interior = set(nodes) - set(r.support)
@@ -87,7 +88,7 @@ def test_barycentric_degree_condition():
     # extra equation sum f(t_j) beta_j = 0 pins the numerator degree to m-1
     g = build_geometry(-INF, 0.0, 0.5, 1.0)
     nodes = optimal_nodes(g, 3)
-    r = barycentric_fit([(z, z ** -0.5) for z in nodes], 3)
+    r = barycentric_fit([(z, z ** -0.5) for z in nodes])
     ft = np.asarray(r.values)
     w = np.asarray(r.weights)
     assert abs(np.dot(ft, w)) <= 1e-12 * np.linalg.norm(ft * w)
@@ -95,8 +96,15 @@ def test_barycentric_degree_condition():
 
 def test_barycentric_sample_count_check():
     with pytest.raises(InvalidInterval):
-        # an [m-1|m] fit takes exactly 2m samples
-        barycentric_fit([(1.0, 1.0), (2.0, 0.5)], 2)
+        # an [m-1|m] fit takes an even number 2m of samples
+        barycentric_fit([(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_barycentric_all_zero_data_is_zero(m):
+    # the system is zero: any nullspace vector is a weight vector, r = 0
+    r = barycentric_fit([(z, 0.0) for z in np.linspace(1.0, 2.0, 2 * m)])
+    assert np.array_equal(r(np.linspace(0.5, 3.0, 51)), np.zeros(51))
 
 
 # ----------------------------------------------------------------- thiele_fit

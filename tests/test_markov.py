@@ -169,3 +169,28 @@ def test_hankel_definiteness_rejects_polynomial():
 @pytest.mark.parametrize("offset", [0.5, 1.0, 1.5, 1.85, 10.0])
 def test_hankel_definiteness_catalog_grid(spec, offset):
     assert check_hankel_definiteness(spec, spec.beta + offset, 6)
+
+
+def _hankel_verdicts_per_n(spec, z0, n_max):
+    """The moment test run separately for every n <= n_max, each on its own
+    Hankel pair, with the check's tolerance."""
+    from marktop.markov import _TOL_DEF_REL, _scaled_min_eig
+    return all(_scaled_min_eig(hankel_matrix(spec, z0, n, 0), 1.0) > -_TOL_DEF_REL
+               and _scaled_min_eig(hankel_matrix(spec, z0, n, 1), -1.0) > -_TOL_DEF_REL
+               for n in range(n_max + 1))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(inv_sqrt_spec(), id="inv_sqrt"),
+    pytest.param(log_spec(), id="log"),
+    pytest.param(power_spec(-0.5), id="power-0.5"),
+    pytest.param(worst_case_spec(-1.0, 0.0), id="worst_case"),
+    pytest.param(custom_spec(lambda z: np.asarray(z), -1.0, 0.0), id="z"),
+])
+@pytest.mark.parametrize("offset", [0.05, 0.5, 2.0, 10.0])
+def test_hankel_largest_pair_decides_for_every_n(spec, offset):
+    # the leading blocks of H_{n_max} are the H_n with n < n_max
+    z0 = spec.beta + offset
+    for n_max in range(9):
+        assert (check_hankel_definiteness(spec, z0, n_max)
+                == _hankel_verdicts_per_n(spec, z0, n_max)), n_max

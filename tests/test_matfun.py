@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from marktop import (BoundInvalid, DegreeUnavailable, DimensionError,
-                     InvalidInterval, MatArg, PartialFraction, PoleCollision, SingularMatrix, aposteriori_bound,
+                     InvalidInterval, MatArg, NoConvergence, PartialFraction, PoleCollision, SingularMatrix, aposteriori_bound,
                      apriori_bound, auto_degree, build_geometry, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
@@ -497,6 +497,13 @@ def test_newton_residual_and_quadratic_phase2(cond):
     r = res.residuals
     for k in range(max(res.phase2_start, 0), len(r) - 1):
         assert r[k + 1] <= max(r[k] ** 2 / 3.0 * 1.5, floor)
+
+
+def test_newton_raises_when_the_residual_stalls_above_tol():
+    # the residual stalls near 4e-16: no root meets tol, so none is returned
+    a = tl_arg(gen_random_spd_toeplitz(32, 1.0, 100.0, 0), 1.0, 100.0)
+    with pytest.raises(NoConvergence, match="after 25 iterations"):
+        sqrt_db_newton(a, tol=1e-300)
 
 
 # -------------------------------------------------------------- log_via_scaling

@@ -136,6 +136,23 @@ def test_shift_matches_dense_and_keeps_tag():
     assert compress(sh).width <= a.width + 1
 
 
+def _assert_same_tl(x, y):
+    assert x.toeplitz is not None and y.toeplitz is not None
+    assert x.width == y.width == 2
+    for u, v in [(x.G, y.G), (x.B, y.B), (x.toeplitz, y.toeplitz)]:
+        assert np.array_equal(u, v)
+
+
+def test_tagged_shift_and_sum_are_built_from_their_column():
+    col = random_toeplitz_col(20, 7)
+    other = random_toeplitz_col(20, 8)
+    shifted = col.copy()
+    shifted[0] -= 0.75
+    _assert_same_tl(shift(from_toeplitz(col), 0.75), from_toeplitz(shifted))
+    _assert_same_tl(add(from_toeplitz(col), from_toeplitz(other)),
+                    from_toeplitz(col + other))
+
+
 # ------------------------------------------------------------------- multiply
 
 def test_multiply_by_identity():
@@ -229,8 +246,10 @@ def test_invert_symmetric_toeplitz_runs_one_recursion(levinson_calls, dense_call
     # the generator of A
     n = 256
     a = symmetric_toeplitz_case("shifted-spd", n)
-    assert a.width == 3
-    invert(a)
+    wide = TLMatrix(n, np.hstack([a.G, a.G]), np.hstack([a.B, 0.0 * a.B]),
+                    toeplitz=a.toeplitz)
+    assert wide.width == 4
+    invert(wide)
     assert levinson_calls == [(n,)]
     assert dense_calls == []
 
