@@ -113,9 +113,7 @@ def eval_markov(spec: MarkovSpec, z):
         if np.any(np.imag(out) != 0.0):
             raise DomainError(f"f must be real on (beta, inf) = ({spec.beta}, inf)")
         out = np.real(out)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(z) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +154,16 @@ def taylor_coeffs(spec: MarkovSpec, z0: float, count: int) -> np.ndarray:
 def hankel_matrix(spec: MarkovSpec, z0: float, n: int, ell: int) -> np.ndarray:
     """Hankel matrix of size n+1 with entries g_{i+j+ell} of the Taylor
     coefficients of the spec's function about z0."""
-    if n < 0 or ell < 0:
-        raise DimensionError(f"n and ell must be nonnegative, got n = {n}, ell = {ell}")
-    g = taylor_coeffs(spec, z0, 2 * n + ell + 1)
-    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1)) + ell
-    return g[idx]
+    return _hankels(spec, z0, n, ell)[0]
+
+
+def _hankels(spec: MarkovSpec, z0: float, n: int, *ells: int) -> list[np.ndarray]:
+    """hankel_matrix for each ell, indexed from one Taylor coefficient vector."""
+    if n < 0 or min(ells) < 0:
+        raise DimensionError(f"n and ell must be nonnegative, got n = {n}, ell = {min(ells)}")
+    g = taylor_coeffs(spec, z0, 2 * n + max(ells) + 1)
+    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return [g[idx + ell] for ell in ells]
 
 
 # definiteness at desk scale must tolerate coefficient noise
@@ -191,6 +194,7 @@ def check_hankel_definiteness(spec: MarkovSpec, z0: float, n_max: int) -> bool:
     (semi)definite for all n <= n_max, up to a relative tolerance.  Only
     n = n_max is tested: each smaller H_n is a leading principal submatrix
     of H_{n_max}, also after equilibration, so its definiteness follows.
+    Both matrices come from one Taylor expansion, one evaluation of f.
 
     The Hankel matrices of a Markov function are exponentially
     ill-conditioned, so their smallest eigenvalues underflow any fixed
@@ -200,5 +204,6 @@ def check_hankel_definiteness(spec: MarkovSpec, z0: float, n_max: int) -> bool:
     (for instance f(z) = z, with an O(1) indefinite block) failing while
     tolerating rounding-level singularity.
     """
-    return (_scaled_min_eig(hankel_matrix(spec, z0, n_max, 0), 1.0) > -_TOL_DEF_REL
-            and _scaled_min_eig(hankel_matrix(spec, z0, n_max, 1), -1.0) > -_TOL_DEF_REL)
+    h0, h1 = _hankels(spec, z0, n_max, 0, 1)
+    return (_scaled_min_eig(h0, 1.0) > -_TOL_DEF_REL
+            and _scaled_min_eig(h1, -1.0) > -_TOL_DEF_REL)

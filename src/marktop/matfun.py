@@ -164,7 +164,7 @@ _TL = Ops(n=lambda x: x.n,
           identity=lambda n: tl.identity_tl(n),
           shift=lambda x, z: tl.shift(x, z),
           scale=lambda x, alpha: tl.scale(x, alpha),
-          add=lambda x, y: tl.compress(tl.add(x, y)),
+          add=lambda x, y: tl.add(x, y),
           mul=lambda x, y: tl.multiply(x, y),
           inv=lambda x: tl.invert(x),
           apply=lambda x, v: tl.matvec(x, v),
@@ -191,14 +191,16 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _checked_rep(r, a: MatArg):
-    """The native representation of r, after checking that no pole of a
-    partial-fraction r lies in the argument's [c, d]."""
+    """The native representation of r, after checking that a partial-fraction
+    r has no pole in the argument's [c, d] and any other r two or more nodes."""
     rep = r.rep if isinstance(r, RationalInterpolant) else r
     if isinstance(rep, PartialFraction):
         tol = 1e-10 * max(a.d - a.c, 1.0)
         for x in rep.poles:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
+    elif len(rep.nodes if isinstance(rep, ThieleCF) else rep.support) < 2:
+        raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")
     return rep
 
 
@@ -214,25 +216,23 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
         terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
                  for x, res in zip(rep.poles, rep.residuals))
         return replace(a, data=functools.reduce(ops.add, terms))
-    ident = ops.identity(a.n)
     if isinstance(rep, ThieleCF):
+        # levels p_j I + (A - t_j I) out^-1 are shifts; the innermost keeps A's tag
         p, zt = rep.params, rep.nodes
-        out = ops.scale(ident, p[-1])
-        for j in range(len(p) - 2, -1, -1):
-            out = ops.add(ops.scale(ident, p[j]),
-                          ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)))
+        out = ops.shift(ops.scale(ops.shift(a.data, zt[-2]), 1.0 / p[-1]), -p[-2])
+        for j in range(len(p) - 3, -1, -1):
+            out = ops.shift(ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)), -p[j])
         return replace(a, data=ops.inv(out))
     # barycentric: running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
-    # give sum_j c_j prod_{k != j} (A - t_k I) for c_j = f_j w_j and c_j = w_j
-    lead, mlen = ident, len(rep.support)
-    for j in range(mlen):
-        s = ops.shift(a.data, rep.support[j])
-        nj = ops.scale(lead, rep.values[j] * rep.weights[j])
-        dj = ops.scale(lead, rep.weights[j])
-        num = nj if j == 0 else ops.add(ops.mul(num, s), nj)
-        den = dj if j == 0 else ops.add(ops.mul(den, s), dj)
-        if j < mlen - 1:
-            lead = ops.mul(lead, s)
+    # started at S_1, give sum_j c_j prod_{k != j} (A - t_k I), c_j = f_j w_j and w_j
+    t, w, fw = rep.support, rep.weights, np.multiply(rep.values, rep.weights)
+    lead, s = ops.shift(a.data, t[0]), ops.shift(a.data, t[1])
+    num = ops.add(ops.scale(s, fw[0]), ops.scale(lead, fw[1]))
+    den = ops.add(ops.scale(s, w[0]), ops.scale(lead, w[1]))
+    for j in range(2, len(t)):
+        lead, s = ops.mul(lead, s), ops.shift(a.data, t[j])
+        num = ops.add(ops.mul(num, s), ops.scale(lead, fw[j]))
+        den = ops.add(ops.mul(den, s), ops.scale(lead, w[j]))
     return replace(a, data=ops.mul(num, ops.inv(den)))
 
 
@@ -397,23 +397,20 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
     mu = 1.0 / (c * d) ** 0.25
     mu_next = math.sqrt(2.0 * (c * d) ** 0.25 / (math.sqrt(c) + math.sqrt(d)))
     ops = b.ops
-    ident = ops.identity(b.n)
-    x = b.data
-    m = b.data
+    x = m = b.data
     phase2_start = -1
-    residuals = []
-    mus = []
+    residuals, mus = [], []
     for k in range(_MAX_NEWTON):
         # mu may start above 1 when cd < 1; the switch tests closeness to 1
         if phase2_start < 0 and abs(1.0 - mu ** 4) / mu ** 4 <= 1e-3:
             phase2_start = k
             mu = 1.0
         mus.append(mu)
+        # M <- I/2 + (mu^2 M + M^-1/mu^2)/4, X <- (I + M^-1/mu^2) mu X/2
         minv = ops.inv(m)
-        m = ops.add(ops.scale(ident, 0.5),
-                    ops.add(ops.scale(m, mu * mu / 4.0),
-                            ops.scale(minv, 1.0 / (4.0 * mu * mu))))
-        x = ops.mul(ops.add(ident, ops.scale(minv, 1.0 / (mu * mu))),
+        m = ops.shift(ops.add(ops.scale(m, mu * mu / 4.0),
+                              ops.scale(minv, 1.0 / (4.0 * mu * mu))), -0.5)
+        x = ops.mul(ops.shift(ops.scale(minv, 1.0 / (mu * mu)), -1.0),
                     ops.scale(x, mu / 2.0))
         res = _deviation(b, lambda v: ops.apply(m, v))
         residuals.append(res)
@@ -444,15 +441,15 @@ def _scaled_root(a: MatArg) -> tuple[int, MatArg]:
 
 def _times_power(ops: Ops, out, x, k: int):
     """out x^k by repeated squaring, O(log |k|) products, with one inverse
-    when k < 0."""
+    when k < 0; out = None stands for I, formed only for x^0."""
     base, k = (x, k) if k >= 0 else (ops.inv(x), -k)
     while k:
         if k & 1:
-            out = ops.mul(out, base)
+            out = base if out is None else ops.mul(out, base)
         k >>= 1
         if k:
             base = ops.mul(base, base)
-    return out
+    return ops.identity(ops.n(x)) if out is None else out
 
 
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
@@ -485,12 +482,13 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
         k, gp = int(gp_total), 0.0
-        inner = MatFunResult(replace(a_ell, data=ops.identity(a.n)), 0, (), rep)
+        inner, r = MatFunResult(a_ell, 0, (), rep), None
     else:
         k = math.floor(gp_total) + 1
         gp = gp_total - k
         spec = power_spec(gp)
         g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
         inner = auto_degree(spec, a_ell, g, rep, m_max)
-    out = _times_power(ops, inner.approximation.data, a_ell.data, k)
+        r = inner.approximation.data
+    out = _times_power(ops, r, a_ell.data, k)
     return replace(inner, approximation=replace(a, data=out), scaling=(ell, k, gp))

@@ -11,7 +11,7 @@ matrix-vector products run in O(r n log n) through FFTs of circulant and
 skew-circulant factors.
 
 Exactly symmetric Toeplitz matrices carry their first column (the tag) and
-a width <= 2 generator; ``from_toeplitz`` rebuilds tagged sums and shifts.
+``from_toeplitz``'s width-2 generator, rebuilt after sums, shifts and scalings.
 Their solves run the Levinson recursion without dense n x n arrays, and an
 inverse's generator is written in O(n) from the Levinson solve for
 A^{-1} e1.  Any other inverse takes one dense LU.
@@ -198,17 +198,19 @@ def to_dense(a: TLMatrix) -> np.ndarray:
 
 
 def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
-    """A + B; a sum of tagged matrices is rebuilt from its column."""
+    """A + B, rebuilt from the summed column if both are tagged, else compressed."""
     if a.n != b.n:
         raise DimensionError(f"size mismatch {a.n} vs {b.n}")
     if a.toeplitz is not None and b.toeplitz is not None:
         return from_toeplitz(a.toeplitz + b.toeplitz)
-    return TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B]))
+    return compress(TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B])))
 
 
 def scale(a: TLMatrix, alpha: float) -> TLMatrix:
-    toe = None if a.toeplitz is None else alpha * a.toeplitz
-    return replace(a, G=alpha * a.G, toeplitz=toe)
+    """alpha A; a tagged A is rebuilt from its scaled column."""
+    if a.toeplitz is not None:
+        return from_toeplitz(alpha * a.toeplitz)
+    return replace(a, G=alpha * a.G)
 
 
 def shift(a: TLMatrix, z: float) -> TLMatrix:

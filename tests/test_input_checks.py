@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from marktop import (DimensionError, DomainError, InvalidInterval, MatArg,
-                     TLMatrix, auto_degree, build_geometry, check_hankel_definiteness,
-                     dense_arg, diag_arg, frac_power, from_toeplitz, inv_sqrt_spec,
-                     optimal_nodes, tl_arg)
+from marktop import (Barycentric, DimensionError, DomainError, InvalidInterval,
+                     MatArg, ThieleCF, TLMatrix, auto_degree, build_geometry,
+                     check_hankel_definiteness, dense_arg, diag_arg,
+                     eval_rational_at_matrix, frac_power, from_toeplitz,
+                     inv_sqrt_spec, optimal_nodes, tl_arg)
 from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
                                  laplacian1d)
 from marktop.interp import MAX_PFD_DEGREE, barycentric_fit, loewner_pfd
 from marktop.matfun import degree_sweep
+from marktop.tlalgebra import add as tl_add
 from marktop.tlalgebra import invert, read_toeplitz
 
 
@@ -92,6 +94,14 @@ def _short_file(tmp_path):
                  InvalidInterval, r"integers, got \[1, 1.5\]", id="degree-sweep-non-integer"),
     pytest.param(lambda tmp: check_hankel_definiteness(inv_sqrt_spec(), 2.0, -1),
                  DimensionError, "must be nonnegative, got n = -1", id="hankel-negative-n"),
+    pytest.param(lambda tmp: tl_add(from_toeplitz([2.0, 1.0]), from_toeplitz([2.0])),
+                 DimensionError, "size mismatch 2 vs 1", id="tl-add-size-mismatch"),
+    pytest.param(lambda tmp: eval_rational_at_matrix(
+                     ThieleCF((2.0,), (0.5,), True), dense_arg(np.eye(2), 1.0, 3.0)),
+                 DimensionError, "two or more nodes", id="thiele-one-node"),
+    pytest.param(lambda tmp: eval_rational_at_matrix(
+                     Barycentric((2.0,), (1.0,), (0.5,)), dense_arg(np.eye(2), 1.0, 3.0)),
+                 DimensionError, "two or more nodes", id="barycentric-one-node"),
 ])
 def test_input_check_raises_typed_error(call, error, match, tmp_path):
     with pytest.raises(error, match=match):

@@ -106,7 +106,15 @@ def test_taylor_custom_against_closed_form():
     for evaluator in (lambda z: 1.0 / np.sqrt(z), lambda z: 1.0 / cmath.sqrt(z)):
         spec = custom_spec(evaluator, -math.inf, 0.0)
         assert taylor_coeffs(spec, z0, 14) == pytest.approx(want, rel=1e-9)
-        assert check_hankel_definiteness(spec, z0, 8)
+        calls = []
+
+        def counted(z, f=evaluator):
+            calls.append(np.ndim(z))
+            return f(z)
+
+        assert check_hankel_definiteness(custom_spec(counted, -math.inf, 0.0), z0, 8)
+        # one Taylor expansion serves H^(0) and H^(1): one call on the circle
+        assert calls.count(1) == 1
 
 
 @pytest.mark.parametrize("evaluator", [lambda z: 1.0 / math.sqrt(z),

@@ -67,6 +67,33 @@ def test_eval_dense_vs_tl_pfd():
     assert np.linalg.norm(out_t - out_d, 2) <= 1e-9 * np.linalg.norm(out_d, 2)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_thiele_and_barycentric_levels_are_shifts(m, levinson_calls, dense_calls,
+                                                   monkeypatch):
+    # on a tagged argument Thiele's innermost level p I + (A - t I)/p_last
+    # stays tagged and is inverted by Levinson: 2m - 2 dense LUs, one fewer
+    # than with p_last I inverted; barycentric's running sums start from
+    # S_1: 3m - 2 products, three fewer than from S_0 = c_0 I
+    col = spd_toeplitz_col(48, 5)
+    a = tl_arg(from_toeplitz(col), 2.0, 6.0)
+    w, v = np.linalg.eigh(scipy.linalg.toeplitz(col))
+    products = []
+    multiply = matfun.tl.multiply
+    monkeypatch.setattr(matfun.tl, "multiply",
+                        lambda x, y: products.append(x.n) or multiply(x, y))
+    _, thiele = markov_interpolant(2.0, 6.0, m, "thiele")
+    _, bary = markov_interpolant(2.0, 6.0, m, "barycentric")
+    out_t = eval_rational_at_matrix(thiele, a).data
+    assert levinson_calls == [(48,)]
+    assert len(dense_calls) == 2 * m - 2
+    products.clear()
+    out_b = eval_rational_at_matrix(bary, a).data
+    assert len(products) == 3 * m - 2
+    for r, out in ((thiele, out_t), (bary, out_b)):
+        want = (v * r(w)) @ v.T
+        assert np.linalg.norm(to_dense(out) - want, 2) <= 1e-10 * np.linalg.norm(want, 2)
+
+
 def test_eval_pole_collision():
     r = PartialFraction(poles=(0.75,), residuals=(1.0,))
     with pytest.raises(PoleCollision):
@@ -541,6 +568,16 @@ def test_frac_power_gamma_zero():
     a = dense_arg(3.0 * np.eye(4), 3.0, 3.0)
     res = frac_power(a, 0.0)
     assert np.array_equal(mat_to_dense(res.approximation), np.eye(4))
+
+
+def test_frac_power_integral_exponent_is_not_multiplied_by_identity():
+    # d/c <= 10 gives ell = 0, so gamma = 1 returns A itself, still tagged
+    col = spd_toeplitz_col(32, 44)
+    a = tl_arg(from_toeplitz(col), 2.0, 6.0)
+    res = frac_power(a, 1.0)
+    assert res.scaling == (0, 1, 0.0)
+    assert res.approximation.data is a.data
+    assert np.array_equal(res.approximation.data.toeplitz, col)
 
 
 def test_frac_power_decomposition_minus_third():

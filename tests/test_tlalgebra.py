@@ -113,6 +113,9 @@ def test_add_cancellation_compresses_to_zero():
     z = compress(add(a, scale(a, -1.0)))
     assert z.width == 0
     assert np.allclose(to_dense(z), 0.0)
+    # an untagged sum is compressed by add itself
+    x = multiply(a, a)
+    assert x.toeplitz is None and add(x, scale(x, -1.0)).width == 0
 
 
 def test_scale_exact():
@@ -151,6 +154,7 @@ def test_tagged_shift_and_sum_are_built_from_their_column():
     _assert_same_tl(shift(from_toeplitz(col), 0.75), from_toeplitz(shifted))
     _assert_same_tl(add(from_toeplitz(col), from_toeplitz(other)),
                     from_toeplitz(col + other))
+    _assert_same_tl(scale(from_toeplitz(col), 0.3), from_toeplitz(0.3 * col))
 
 
 # ------------------------------------------------------------------- multiply
