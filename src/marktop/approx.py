@@ -280,6 +280,8 @@ def disk_error_bound(spec: MarkovSpec, nodes: Sequence[complex]) -> float:
         raise DomainError(f"disk bound requires beta < -1, got {b}")
     cconst = (1.0 - b) / (-1.0 - b) * eval_markov(spec, -1.0)
     node_arr = np.asarray(nodes, dtype=complex)
+    if node_arr.size == 0:
+        return float(cconst)
     lo = a if math.isfinite(a) else b - 1e6 * (1.0 + abs(b))
     zs = np.linspace(lo, b, _DISK_GRID)
     prod = np.ones(_DISK_GRID)

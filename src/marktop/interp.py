@@ -58,8 +58,11 @@ class Barycentric:
             cauchy = w / diff
             out = (cauchy * fv).sum(axis=-1) / cauchy.sum(axis=-1)
         # on-support evaluation is exact by the interpolation property
-        for row in np.argwhere(arr[..., None] == t):
-            out[tuple(row[:-1])] = fv[row[-1]]
+        hit = np.isclose(arr[..., None], t, rtol=0.0, atol=0.0)
+        if hit.any():
+            idx = np.argwhere(hit)
+            for row in idx:
+                out[tuple(row[:-1])] = fv[row[-1]]
         return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -76,7 +79,8 @@ class ThieleCF:
 
     def __call__(self, z):
         arr = np.atleast_1d(np.asarray(z, dtype=float))
-        p, zt = self.params, self.nodes
+        p = self.params
+        zt = self.nodes
         r = np.full(arr.shape, p[-1])
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(len(p) - 2, -1, -1):

@@ -113,7 +113,9 @@ def eval_markov(spec: MarkovSpec, z):
         if np.any(np.imag(out) != 0.0):
             raise DomainError(f"f must be real on (beta, inf) = ({spec.beta}, inf)")
         out = np.real(out)
-    return float(out) if np.ndim(z) == 0 else out
+    if np.ndim(z) == 0:
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -191,16 +191,14 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _checked_rep(r, a: MatArg):
-    """The native representation of r, after checking that a partial-fraction
-    r has no pole in the argument's [c, d] and any other r two or more nodes."""
+    """The native representation of r, after checking that no pole of a
+    partial-fraction r lies in the argument's [c, d]."""
     rep = r.rep if isinstance(r, RationalInterpolant) else r
     if isinstance(rep, PartialFraction):
         tol = 1e-10 * max(a.d - a.c, 1.0)
         for x in rep.poles:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
-    elif len(rep.nodes if isinstance(rep, ThieleCF) else rep.support) < 2:
-        raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")
     return rep
 
 
@@ -216,10 +214,13 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
         terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
                  for x, res in zip(rep.poles, rep.residuals))
         return replace(a, data=functools.reduce(ops.add, terms))
+    # the shift-built levels below start from two nodes
+    if len(rep.params if isinstance(rep, ThieleCF) else rep.support) < 2:
+        raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")
     if isinstance(rep, ThieleCF):
         # levels p_j I + (A - t_j I) out^-1 are shifts; the innermost keeps A's tag
         p, zt = rep.params, rep.nodes
-        out = ops.shift(ops.scale(ops.shift(a.data, zt[-2]), 1.0 / p[-1]), -p[-2])
+        out = ops.shift(ops.scale(ops.shift(a.data, zt[len(p) - 2]), 1.0 / p[-1]), -p[-2])
         for j in range(len(p) - 3, -1, -1):
             out = ops.shift(ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)), -p[j])
         return replace(a, data=ops.inv(out))
@@ -397,9 +398,11 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
     mu = 1.0 / (c * d) ** 0.25
     mu_next = math.sqrt(2.0 * (c * d) ** 0.25 / (math.sqrt(c) + math.sqrt(d)))
     ops = b.ops
-    x = m = b.data
+    x = b.data
+    m = b.data
     phase2_start = -1
-    residuals, mus = [], []
+    residuals = []
+    mus = []
     for k in range(_MAX_NEWTON):
         # mu may start above 1 when cd < 1; the switch tests closeness to 1
         if phase2_start < 0 and abs(1.0 - mu ** 4) / mu ** 4 <= 1e-3:
@@ -469,7 +472,8 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
                m_max: int = 20) -> MatFunResult:
     """A^gamma by inverse scaling and squaring: write 2^ell gamma = k + g'
     with k integer and g' in [-1, 0), then A^gamma = r(A_ell) A_ell^k where
-    r approximates z^g' and A_ell = A^(1/2^ell)."""
+    r approximates z^g' and A_ell = A^(1/2^ell).  For gamma = 1 with ell = 0
+    the result holds the argument's own data object, not a copy."""
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     if abs(gamma) * max(abs(math.log(a.c)), abs(math.log(a.d))) > _LOG_MAX:

@@ -100,6 +100,9 @@ def _short_file(tmp_path):
                      ThieleCF((2.0,), (0.5,), True), dense_arg(np.eye(2), 1.0, 3.0)),
                  DimensionError, "two or more nodes", id="thiele-one-node"),
     pytest.param(lambda tmp: eval_rational_at_matrix(
+                     ThieleCF((2.0, 3.0), (0.5,), True), dense_arg(np.eye(2), 1.0, 3.0)),
+                 DimensionError, "two or more nodes", id="thiele-one-param"),
+    pytest.param(lambda tmp: eval_rational_at_matrix(
                      Barycentric((2.0,), (1.0,), (0.5,)), dense_arg(np.eye(2), 1.0, 3.0)),
                  DimensionError, "two or more nodes", id="barycentric-one-node"),
 ])

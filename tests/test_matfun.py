@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from marktop import (BoundInvalid, DegreeUnavailable, DimensionError,
+from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionError,
                      InvalidInterval, MatArg, NoConvergence, PartialFraction, PoleCollision, SingularMatrix, aposteriori_bound,
                      apriori_bound, auto_degree, build_geometry, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
                      log_via_scaling, optimal_nodes, residual_sqrt,
-                     sqrt_db_newton, tl_arg, worst_case_spec)
+                     sqrt_db_newton, ThieleCF, tl_arg, worst_case_spec)
 from marktop import matfun
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
                                  gen_random_spd_toeplitz, run_experiment)
@@ -53,6 +53,9 @@ def test_eval_diagonal_spectral_map():
     lam = cosine_points(0.5, 1.0, 20)
     out = eval_rational_at_matrix(r, diag_arg(lam))
     assert np.allclose(out.data, r(lam), rtol=1e-12)
+    # a one-node r is a constant, which the spectrum takes entrywise too
+    for const in (ThieleCF((2.0,), (0.5,), True), Barycentric((2.0,), (1.0,), (0.5,))):
+        assert np.array_equal(eval_rational_at_matrix(const, diag_arg(lam)).data, const(lam))
 
 
 def test_eval_dense_vs_tl_pfd():

@@ -1,8 +1,6 @@
-"""tools/same_outputs.py: the verdicts, and one run of a checkout against itself."""
+"""tools/same_outputs.py: the verdicts and the report, on synthetic records."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +41,19 @@ def test_same_error_is_agreement(tool):
     assert tool.verdict(a, dict(a)) == ("same error", None)
 
 
-def test_checkout_against_itself_is_bitwise():
-    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT),
-                           "--workloads", "tl-fallback", "--seeds", "1"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 5 and all(line.endswith(": bitwise") for line in lines[:4])
-    assert lines[-1] == ("tl-fallback: bitwise 4, same flags 0, same error 0, differs 0, "
-                         "max |delta digits| 0.00e+00")
+def test_compare_prints_each_operation_and_a_summary(tool, capsys):
+    def records(*recs):
+        return [dict(r, workload="dense", seed=1, index=i, label=f"op{i}")
+                for i, r in enumerate(recs)]
+
+    parent = records(_record(), _record(), _record(error="NoConvergence: x"))
+    change = records(_record(to_dense=7), _record(g=2.0, digits=8.5),
+                     _record(error="NoConvergence: x"))
+    assert tool.compare(parent, change)
+    assert capsys.readouterr().out.splitlines() == [
+        "dense seed 1 op 0 op0: bitwise",
+        "dense seed 1 op 1 op1: same m/ell/accept flags, |delta digits| = 5.00e-01",
+        "dense seed 1 op 2 op2: same error",
+        "dense: bitwise 1, same flags 1, same error 1, differs 0, max |delta digits| 5.00e-01"]
+    assert not tool.compare(parent, records(_record(), _record(m=2), _record()))
+    assert not tool.compare(parent, parent[:2])

@@ -1,16 +1,15 @@
 """Compare the outputs of two checkouts on every benchmark operation.
 
     python3 tools/same_outputs.py PARENT_DIR CHANGE_DIR
-                                  [--workloads W ...] [--seeds N ...]
 
-Each checkout runs, in its own subprocess, every operation of the chosen
-workloads (default: all three) at the chosen seeds (default: 1 2 3)
-through its own ``perfbench/worker.build_calls`` and ``worker.extract``,
-and scores each output with ``perfbench/checks`` against the eigh oracles
-of ``perfbench/workloads``.  Nothing under ``perfbench/`` is written.  One
-line per operation gives the verdict:
+Each checkout runs, in its own subprocess, every operation of the three
+workloads at seeds 1, 2 and 3 through its own ``perfbench/worker.build_calls``
+and ``worker.extract``, and scores each output with ``perfbench/checks``
+against the eigh oracles of ``perfbench/workloads``.  Nothing under
+``perfbench/`` is written.  One line per operation gives the verdict:
 
-    bitwise         every output array is equal (the to_dense count aside)
+    bitwise         every output array is equal by ``worker.same`` (the
+                    to_dense count aside)
     same m/ell/accept flags, |delta digits| = x
                     returned degree, scaling and per-degree accept flags
                     agree, and the checked digits differ by x
@@ -37,7 +36,11 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("tl-levinson", "tl-fallback", "dense")
+SEEDS = (1, 2, 3)
 WORK_COUNTERS = ("to_dense",)   # counts of work, not outputs
+# this checkout's perfbench/, last on sys.path: the comparison takes
+# worker.same from it, while a child run puts its own tree's first
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 def _label(op: dict) -> str:
@@ -47,7 +50,7 @@ def _label(op: dict) -> str:
     return f"{name} {op['rep']} {op['mat']}"
 
 
-def run_tree(tree: Path, workloads, seeds) -> list[dict]:
+def run_tree(tree: Path) -> list[dict]:
     """One record per operation of the tree's own benchmark code."""
     sys.path.insert(0, str(tree / "perfbench"))
     # worker puts the tree's src/ first on sys.path before importing marktop
@@ -58,8 +61,8 @@ def run_tree(tree: Path, workloads, seeds) -> list[dict]:
     warnings.simplefilter("ignore")
     counter = worker.DenseCounter()
     records = []
-    for name in workloads:
-        for seed in seeds:
+    for name in WORKLOADS:
+        for seed in SEEDS:
             ops, mats, oracles = wl.make_inputs(name, seed)
             mats = {k: dict(v, col=np.asarray(v["col"])) for k, v in mats.items()}
             for i, (op, call) in enumerate(zip(ops, worker.build_calls(ops, mats))):
@@ -83,17 +86,11 @@ def run_tree(tree: Path, workloads, seeds) -> list[dict]:
     return records
 
 
-def _flags(out: dict) -> list:
+def _flags(out: dict) -> dict:
     """Returned degree, scaling and accept flags of one output."""
     if "history" in out:
-        return [out["m"], out["ell"], out["history"][:, [0, 3]]]
-    return [out["rep"], out["m"], out["accepted"]]
-
-
-def _equal(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(
-        x.shape == y.shape and np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
-        for x, y in zip(xs, ys))
+        return {"m": out["m"], "ell": out["ell"], "flags": out["history"][:, [0, 3]]}
+    return {k: out[k] for k in ("rep", "m", "accepted")}
 
 
 VERDICTS = ("bitwise", "same flags", "same error", "differs")
@@ -102,14 +99,15 @@ VERDICTS = ("bitwise", "same flags", "same error", "differs")
 def verdict(a: dict, b: dict) -> tuple[str, float | None]:
     """(one of VERDICTS, |delta digits| or None) for two records of one
     operation."""
+    from worker import same   # imported here so that a child run loads its own tree's
+
     if a["error"] or b["error"]:
         return ("same error", None) if a["error"] == b["error"] else ("differs", None)
-    oa, ob = a["out"], b["out"]
-    keys = sorted(k for k in oa if k not in WORK_COUNTERS)
-    if keys == sorted(k for k in ob if k not in WORK_COUNTERS) and _equal(
-            [oa[k] for k in keys], [ob[k] for k in keys]):
+    oa, ob = ({k: v for k, v in r["out"].items() if k not in WORK_COUNTERS}
+              for r in (a, b))
+    if same(oa, ob):
         return "bitwise", 0.0
-    if _equal(_flags(oa), _flags(ob)):
+    if same(_flags(oa), _flags(ob)):
         return "same flags", abs(a["digits"] - b["digits"])
     return "differs", None
 
@@ -139,13 +137,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    p.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     p.add_argument("--dump", type=Path, help=argparse.SUPPRESS)  # subprocess mode
     opts = p.parse_args(argv)
     if opts.dump:
         with open(opts.dump, "wb") as fh:
-            pickle.dump(run_tree(opts.parent.resolve(), opts.workloads, opts.seeds), fh)
+            pickle.dump(run_tree(opts.parent.resolve()), fh)
         return 0
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,9 +150,8 @@ def main(argv=None) -> int:
                 p.error(f"{tree} holds no src/marktop and perfbench/")
             dump = Path(tmp) / "records.pkl"
             # the child runs the first tree it is given
-            subprocess.run([sys.executable, __file__, str(tree), str(tree), "--dump", str(dump),
-                            "--workloads", *opts.workloads,
-                            "--seeds", *map(str, opts.seeds)], check=True)
+            subprocess.run([sys.executable, __file__, str(tree), str(tree), "--dump", str(dump)],
+                           check=True)
             with open(dump, "rb") as fh:
                 records.append(pickle.load(fh))
     return 0 if compare(*records) else 1
