@@ -10,9 +10,8 @@ from .errors import (BoundInvalid, Breakdown, DegreeUnavailable,
                      MarktopError, NoConvergence, PencilError, PoleCollision,
                      PoleHit, PoleLocationError, RankDeficiency,
                      SingularMatrix)
-from .interp import (Barycentric, PartialFraction, RationalInterpolant,
-                     ThieleCF, barycentric_fit, fit_interpolant,
-                     interp_error_scan, loewner_pfd, thiele_fit)
+from .interp import (Barycentric, PartialFraction, ThieleCF, barycentric_fit,
+                     fit_interpolant, interp_error_scan, loewner_pfd, thiele_fit)
 from .markov import (MarkovSpec, check_hankel_definiteness, custom_spec,
                      eval_markov, hankel_matrix, inv_sqrt_spec, log_spec,
                      power_spec, taylor_coeffs, worst_case_spec)

@@ -125,8 +125,6 @@ def build_geometry(alpha: float, beta: float, c: float, d: float) -> Geometry:
         raise DegenerateCondenser("c = d gives an empty evaluation interval")
     if not (alpha < beta < c < d):
         raise InvalidInterval(f"need alpha < beta < c < d, got {(alpha, beta, c, d)}")
-    if not (math.isfinite(beta) and math.isfinite(c)):
-        raise InvalidInterval("beta and c must be finite")
     x = cross_ratio(alpha, beta, c, d)
     k = 1.0 / math.sqrt(x)
     kappa = (1.0 - k) / (1.0 + k)
@@ -280,8 +278,6 @@ def disk_error_bound(spec: MarkovSpec, nodes: Sequence[complex]) -> float:
         raise DomainError(f"disk bound requires beta < -1, got {b}")
     cconst = (1.0 - b) / (-1.0 - b) * eval_markov(spec, -1.0)
     node_arr = np.asarray(nodes, dtype=complex)
-    if node_arr.size == 0:
-        return float(cconst)
     lo = a if math.isfinite(a) else b - 1e6 * (1.0 + abs(b))
     zs = np.linspace(lo, b, _DISK_GRID)
     prod = np.ones(_DISK_GRID)

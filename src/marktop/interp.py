@@ -29,6 +29,7 @@ class PartialFraction:
 
     poles: tuple[float, ...]
     residuals: tuple[float, ...]
+    nodes: tuple[float, ...] = ()   # the interpolation nodes, ascending
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=float)
@@ -47,6 +48,7 @@ class Barycentric:
     support: tuple[float, ...]
     weights: tuple[float, ...]
     values: tuple[float, ...]
+    nodes: tuple[float, ...] = ()   # the interpolation nodes, ascending
 
     def __call__(self, z):
         arr = np.atleast_1d(np.asarray(z, dtype=float))
@@ -58,11 +60,8 @@ class Barycentric:
             cauchy = w / diff
             out = (cauchy * fv).sum(axis=-1) / cauchy.sum(axis=-1)
         # on-support evaluation is exact by the interpolation property
-        hit = np.isclose(arr[..., None], t, rtol=0.0, atol=0.0)
-        if hit.any():
-            idx = np.argwhere(hit)
-            for row in idx:
-                out[tuple(row[:-1])] = fv[row[-1]]
+        hit = np.nonzero(arr[..., None] == t)
+        out[hit[:-1]] = fv[hit[-1]]
         return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -87,17 +86,6 @@ class ThieleCF:
                 r = p[j] + (arr - zt[j]) / r
             r = 1.0 / r
         return float(r[0]) if np.ndim(z) == 0 else r.reshape(np.shape(z))
-
-
-@dataclass(frozen=True)
-class RationalInterpolant:
-    """One of the three representations together with its node set."""
-
-    rep: PartialFraction | Barycentric | ThieleCF
-    nodes: tuple[float, ...]
-
-    def __call__(self, z):
-        return self.rep(z)
 
 
 def _split_samples(samples):
@@ -152,7 +140,8 @@ def loewner_pfd(samples, interval: tuple[float, float] | None = None) -> Partial
     if np.any(res <= 0.0):
         warnings.warn(f"nonpositive residuals (expected for Markov data): {res}",
                       stacklevel=2)
-    return PartialFraction(tuple(poles.tolist()), tuple(res.tolist()))
+    return PartialFraction(tuple(poles.tolist()), tuple(res.tolist()),
+                           tuple(zs.tolist()))
 
 
 def barycentric_fit(samples) -> Barycentric:
@@ -174,7 +163,8 @@ def barycentric_fit(samples) -> Barycentric:
     if sv.size >= 2 and sv[-2] > 0.0 and (sv[-2] - sv[-1]) <= 1e-12 * sv[-2]:
         raise RankDeficiency("nullspace of the interpolation system is not unique")
     w = vt[-1]
-    return Barycentric(tuple(t.tolist()), tuple(w.tolist()), tuple(ft.tolist()))
+    return Barycentric(tuple(t.tolist()), tuple(w.tolist()), tuple(ft.tolist()),
+                       tuple(zs.tolist()))
 
 
 def thiele_fit(samples, keep_table: bool = False) -> ThieleCF:
@@ -206,22 +196,22 @@ def thiele_fit(samples, keep_table: bool = False) -> ThieleCF:
 
 
 def fit_interpolant(f, nodes, representation: str = "pfd",
-                    interval: tuple[float, float] | None = None) -> RationalInterpolant:
+                    interval: tuple[float, float] | None = None
+                    ) -> PartialFraction | Barycentric | ThieleCF:
     """Fit a type-[m-1|m] interpolant of the callable ``f`` on 2m nodes in
     the requested representation ("pfd" | "barycentric" | "thiele"), with
-    f called once on the array of nodes."""
+    f called once on the array of nodes.  The fit records its nodes."""
     if representation not in REPRESENTATIONS:
         raise DimensionError(f"unknown representation {representation!r}")
     zs = np.asarray(nodes, dtype=float)
     fs = np.asarray(f(zs), dtype=float)
     samples = np.column_stack([zs, fs])
     if representation == "pfd":
-        rep = loewner_pfd(samples, interval=interval)
+        r = loewner_pfd(samples, interval=interval)
     elif representation == "barycentric":
-        rep = barycentric_fit(samples)
+        r = barycentric_fit(samples)
     else:
-        rep = thiele_fit(samples)
-    r = RationalInterpolant(rep, tuple(zs.tolist()))
+        r = thiele_fit(samples)
     nonzero = fs != 0.0
     # fmax skips NaN entries
     resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]))

@@ -26,8 +26,7 @@ from .approx import (Geometry, apriori_bound, build_geometry, optimal_nodes,
 from .errors import (BoundInvalid, DegreeUnavailable, DimensionError,
                      DomainError, InvalidInterval, MarktopError, NoConvergence,
                      PoleCollision, SingularMatrix)
-from .interp import (REPRESENTATIONS, PartialFraction, RationalInterpolant,
-                     ThieleCF, fit_interpolant)
+from .interp import REPRESENTATIONS, PartialFraction, ThieleCF, fit_interpolant
 from .markov import MarkovSpec, log_spec, power_spec, worst_case_spec
 
 _EPS = np.finfo(float).eps
@@ -190,43 +189,41 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 # Interpolant evaluation at a matrix argument
 # ---------------------------------------------------------------------------
 
-def _checked_rep(r, a: MatArg):
-    """The native representation of r, after checking that no pole of a
-    partial-fraction r lies in the argument's [c, d]."""
-    rep = r.rep if isinstance(r, RationalInterpolant) else r
-    if isinstance(rep, PartialFraction):
+def _check_poles(r, a: MatArg):
+    """Raise PoleCollision if a pole of a partial-fraction r lies in the
+    argument's [c, d]."""
+    if isinstance(r, PartialFraction):
         tol = 1e-10 * max(a.d - a.c, 1.0)
-        for x in rep.poles:
+        for x in r.poles:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
-    return rep
 
 
 def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
-    """r(A) in the representation native to r: partial fractions sum shifted
+    """r(A) in r's own representation: partial fractions sum shifted
     inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
     recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
-    rep = _checked_rep(r, a)
+    _check_poles(r, a)
     if a.ops is _DIAGONAL:
-        return replace(a, data=np.asarray(rep(a.data), dtype=float))
+        return replace(a, data=np.asarray(r(a.data), dtype=float))
     ops = a.ops
-    if isinstance(rep, PartialFraction):
+    if isinstance(r, PartialFraction):
         terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
-                 for x, res in zip(rep.poles, rep.residuals))
+                 for x, res in zip(r.poles, r.residuals))
         return replace(a, data=functools.reduce(ops.add, terms))
     # the shift-built levels below start from two nodes
-    if len(rep.params if isinstance(rep, ThieleCF) else rep.support) < 2:
+    if len(r.params if isinstance(r, ThieleCF) else r.support) < 2:
         raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")
-    if isinstance(rep, ThieleCF):
+    if isinstance(r, ThieleCF):
         # levels p_j I + (A - t_j I) out^-1 are shifts; the innermost keeps A's tag
-        p, zt = rep.params, rep.nodes
+        p, zt = r.params, r.nodes
         out = ops.shift(ops.scale(ops.shift(a.data, zt[len(p) - 2]), 1.0 / p[-1]), -p[-2])
         for j in range(len(p) - 3, -1, -1):
             out = ops.shift(ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)), -p[j])
         return replace(a, data=ops.inv(out))
     # barycentric: running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
     # started at S_1, give sum_j c_j prod_{k != j} (A - t_k I), c_j = f_j w_j and w_j
-    t, w, fw = rep.support, rep.weights, np.multiply(rep.values, rep.weights)
+    t, w, fw = r.support, r.weights, np.multiply(r.values, r.weights)
     lead, s = ops.shift(a.data, t[0]), ops.shift(a.data, t[1])
     num = ops.add(ops.scale(s, fw[0]), ops.scale(lead, fw[1]))
     den = ops.add(ops.scale(s, w[0]), ops.scale(lead, w[1]))
@@ -342,7 +339,6 @@ class MatFunResult:
     approximation: MatArg
     m: int
     history: tuple  # rows (m, residual, apriori or None, accepted)
-    representation: str
     not_triggered: bool = False
     scaling: tuple | None = None  # (ell, k, gamma_prime) when applicable
 
@@ -355,7 +351,7 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
 
     def fitted(r_mu):
         # a pole in [c, d] still rejects the degree, without any matrix work
-        _checked_rep(r_mu, a)
+        _check_poles(r_mu, a)
         return r_mu
 
     if not isinstance(m_max, (int, np.integer)):
@@ -370,7 +366,7 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
         raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
                                 f"{rec.threshold:.3g} already at m=1")
     return MatFunResult(eval_rational_at_matrix(prev.value, a), prev.m,
-                        tuple(history), rep, not_triggered=rec.accepted)
+                        tuple(history), not_triggered=rec.accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +482,7 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
         k, gp = int(gp_total), 0.0
-        inner, r = MatFunResult(a_ell, 0, (), rep), None
+        inner, r = MatFunResult(a_ell, 0, ()), None
     else:
         k = math.floor(gp_total) + 1
         gp = gp_total - k

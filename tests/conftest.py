@@ -63,11 +63,6 @@ def random_spd_toeplitz_col(n, seed, diag=4.0, spread=0.5):
     return np.concatenate([[diag], off])
 
 
-def dense_markov(spec, a):
-    w, v = np.linalg.eigh(a)
-    return (v * np.asarray(spec(w))) @ v.T
-
-
 def spectral_interval(col, row=None):
     ev = np.linalg.eigvalsh(scipy.linalg.toeplitz(col, row))
     return float(ev[0]), float(ev[-1])

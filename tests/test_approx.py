@@ -232,6 +232,11 @@ def test_disk_error_bound():
     for m in (1, 2):
         got = disk_error_bound(spec, [0.0] * (2 * m))
         assert got == pytest.approx(3.0 * 0.5 ** (2 * m), rel=1e-3)
+    # alpha = -inf: C again without nodes; two nodes at -0.9 give factors
+    # (0.9|z| - 1)/(|z| - 0.9) rising on [-inf, -2] to their limit 0.9
+    spec = custom_spec(lambda z: 1.0 / np.sqrt(np.asarray(z) + 2.0), -INF, -2.0)
+    assert disk_error_bound(spec, []) == 3.0
+    assert disk_error_bound(spec, [-0.9, -0.9]) == pytest.approx(3.0 * 0.81, rel=1e-14)
     bad = custom_spec(lambda z: 1.0 / np.asarray(z), -2.0, -1.0)
     with pytest.raises(DomainError):
         disk_error_bound(bad, [0.0, 0.0])

@@ -83,6 +83,12 @@ def _short_file(tmp_path):
     pytest.param(lambda tmp: from_toeplitz([]),
                  DimensionError, r"nonempty first column, got shape \(0,\)",
                  id="from-toeplitz-empty"),
+    pytest.param(lambda tmp: build_geometry(-1.0, np.inf, 1.0, 3.0),
+                 InvalidInterval, "need alpha < beta < c < d", id="geometry-beta-inf"),
+    pytest.param(lambda tmp: build_geometry(-np.inf, 0.0, np.inf, 3.0),
+                 InvalidInterval, "need alpha < beta < c < d", id="geometry-c-inf"),
+    pytest.param(lambda tmp: build_geometry(-np.inf, np.nan, 1.0, 3.0),
+                 InvalidInterval, "need alpha < beta < c < d", id="geometry-beta-nan"),
     pytest.param(lambda tmp: optimal_nodes(build_geometry(-np.inf, 0.0, 1.0, 3.0), 1.5),
                  InvalidInterval, "integer >= 1, got 1.5", id="optimal-nodes-non-integer"),
     pytest.param(lambda tmp: auto_degree(inv_sqrt_spec(), diag_arg([1.0, 3.0]),

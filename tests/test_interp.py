@@ -159,6 +159,20 @@ def test_barycentric_constant_eval():
     assert r(1.0) == 5.0  # on-support exact
 
 
+def test_barycentric_on_support_exact_for_arrays():
+    # each support point of a 2-D input takes its own value, off-support ones
+    # the quotient of sums
+    r = Barycentric(support=(1.0, 2.0, 3.0), weights=(0.5, -1.0, 0.5),
+                    values=(1.0, 0.25, 1.0 / 9.0))
+    z = np.array([[2.0, 1.0, 1.5], [3.0, 2.0, 1.0]])
+    out = r(z)
+    assert out.shape == (2, 3)
+    assert out[0, 0] == out[1, 1] == 0.25
+    assert out[0, 1] == out[1, 2] == 1.0
+    assert out[1, 0] == 1.0 / 9.0
+    assert out[0, 2] == pytest.approx(r(1.5)) and np.isfinite(out[0, 2])
+
+
 # ------------------------------------------------------------ degree exactness
 
 @pytest.mark.parametrize("rep", ["pfd", "barycentric", "thiele"])
@@ -233,9 +247,14 @@ def test_fit_interpolant_calls_f_once_on_the_node_array():
         seen.append(z)
         return spec(z)
 
-    r = fit_interpolant(f, nodes, "pfd")
-    assert len(seen) == 1 and np.array_equal(seen[0], nodes)
-    assert r.nodes == nodes
+    # each fit is its representation and records the 2m nodes it interpolates
+    for rep, kind in (("pfd", PartialFraction), ("barycentric", Barycentric),
+                      ("thiele", ThieleCF)):
+        seen.clear()
+        r = fit_interpolant(f, nodes, rep)
+        assert len(seen) == 1 and np.array_equal(seen[0], nodes)
+        assert type(r) is kind
+        assert len(r.nodes) == 8 and sorted(r.nodes) == list(nodes)
     with pytest.raises(DimensionError, match="unknown representation 'bary'"):
         fit_interpolant(f, nodes, "bary")
     assert len(seen) == 1  # rejected before sampling f

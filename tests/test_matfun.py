@@ -11,7 +11,7 @@ from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionErro
                      apriori_bound, auto_degree, build_geometry, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
-                     log_via_scaling, optimal_nodes, residual_sqrt,
+                     log_via_scaling, loewner_pfd, optimal_nodes, residual_sqrt,
                      sqrt_db_newton, ThieleCF, tl_arg, worst_case_spec)
 from marktop import matfun
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
@@ -181,6 +181,9 @@ def test_aposteriori_dominates_true_error():
     bound = aposteriori_bound(a, r_m, r_mp, g)
     true = np.max(np.abs(1.0 - r_m(lam) * np.sqrt(lam)))
     assert bound >= true
+    # fits straight from loewner_pfd carry the same nodes, hence the same bound
+    direct = [loewner_pfd([(z, spec(z)) for z in optimal_nodes(g, m)]) for m in (3, 5)]
+    assert aposteriori_bound(a, *direct, g) == bound
     # a Toeplitz argument, dense and in generator form
     col = spd_toeplitz_col(64, 11, diag=0.75)
     col[1:] *= 0.1  # Gershgorin: the spectrum lies in [0.55, 0.95]
