@@ -343,11 +343,32 @@ class MatFunResult:
     scaling: tuple | None = None  # (ell, k, gamma_prime) when applicable
 
 
+def _start_degree(g: Geometry, rep: str, n: int, m_max: int) -> int:
+    """The largest m <= m_max whose a priori bound is at least 1e3 n eps, or
+    is not yet valid; 1 if there is none, and always 1 for a representation
+    other than pfd, which stalls far above that floor on matrix arguments."""
+    m0 = 1
+    if rep == "pfd":
+        for m in range(2, m_max + 1):
+            try:
+                if apriori_bound(g, m) < 1e3 * n * _EPS:
+                    break
+            except BoundInvalid:
+                pass
+            m0 = m
+    return m0
+
+
 def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
                 m_max: int = 20) -> MatFunResult:
     """Increase m while the worst-case residual stays below five times the
     a priori bound; return the last accepted degree (stop one before the
-    first violation).  r_mu(A) is evaluated once, at that degree."""
+    first violation).  r_mu(A) is evaluated once, at that degree.
+
+    pfd starts at the _start_degree m0, since its sharp a priori bound lets
+    only degrees near the rounding floor fail, and reruns from m = 1 if
+    m0 > 1 is rejected.  The history holds the degrees tried by the last
+    sweep."""
 
     def fitted(r_mu):
         # a pole in [c, d] still rejects the degree, without any matrix work
@@ -356,12 +377,16 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
 
     if not isinstance(m_max, (int, np.integer)):
         raise InvalidInterval(f"degrees must be integers, got m_max = {m_max!r}")
-    history, prev = [], None
-    for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1), fitted):
-        history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
-        if not rec.accepted:
+    m0 = _start_degree(g, rep, a.n, m_max)
+    for start in ((m0, 1) if m0 > 1 else (1,)):
+        history, prev = [], None
+        for rec in degree_sweep(spec, a, g, rep, range(start, m_max + 1), fitted):
+            history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
+            if not rec.accepted:
+                break
+            prev = rec
+        if prev is not None:
             break
-        prev = rec
     if prev is None:
         raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
                                 f"{rec.threshold:.3g} already at m=1")

@@ -243,9 +243,18 @@ def test_disk_error_bound():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # only blaschke_eta needs scipy.optimize, and imports it when called
-    code = ("import sys, marktop; "
+    # only blaschke_eta needs scipy.optimize, and imports it when called;
+    # the import and the argument set-up that the benchmark's setup_s times
+    # load no public scipy subpackage besides linalg and special
+    code = ("import sys, numpy as np, marktop; "
             "assert 'scipy.optimize' not in sys.modules, 'loaded at import'; "
+            "col = np.array([2.0, 0.5, 0.1]); "
+            "marktop.tl_arg(marktop.from_toeplitz(col), 1.0, 3.0); "
+            "marktop.dense_arg(np.eye(3), 1.0, 1.0); "
+            "marktop.build_geometry(-float('inf'), 0.0, 1.0, 3.0); "
+            "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}; "
+            "public = {m for m in loaded if not m.startswith('_')} - {'version'}; "
+            "assert public == {'linalg', 'special'}, sorted(public); "
             "marktop.blaschke_eta(marktop.build_geometry(-1.0, 0.0, 1.0, 4.0), [2.0]); "
             "assert 'scipy.optimize' in sys.modules")
     src = os.path.dirname(os.path.dirname(marktop.__file__))

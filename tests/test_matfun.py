@@ -11,7 +11,7 @@ from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionErro
                      apriori_bound, auto_degree, build_geometry, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
-                     log_via_scaling, loewner_pfd, optimal_nodes, residual_sqrt,
+                     log_via_scaling, loewner_pfd, optimal_nodes, power_spec, residual_sqrt,
                      sqrt_db_newton, ThieleCF, tl_arg, worst_case_spec)
 from marktop import matfun
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
@@ -354,6 +354,26 @@ def test_only_pfd_accurate_at_matrix_arguments():
     assert err["barycentric", "dense"] >= 10.0 * err["pfd", "dense"]
 
 
+def test_dense_barycentric_log_accepts_m6_on_the_cli_default():
+    # a documented limit: on `marktop matfun --case iii` (log, [25, 139.2],
+    # n = 256) barycentric accepts m = 6 and rejects m = 7, whose residual
+    # 2.3e-12 is above the threshold 8.7e-13.  The cause is the rounding of
+    # the running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
+    # by which eval_rational_at_matrix forms the barycentric numerator and
+    # denominator; the prefix and suffix products they replaced read 6.3e-13
+    # at m = 7 and accepted it
+    t = gen_random_spd_toeplitz(256, 25.0, 139.2, 0)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    eigs = np.linalg.eigvalsh(dense)
+    a = dense_arg(dense, eigs[0], eigs[-1])
+    spec = log_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    res = auto_degree(spec, a, g, "barycentric", m_max=7)
+    assert res.m == 6 and [h[0] for h in res.history] == list(range(1, 8))
+    _, resid, apr, accepted = res.history[-1]
+    assert not accepted and resid > 5.0 * apr
+
+
 def test_run_experiment_rows_match_auto_degree():
     # spectrum [1, 1e12]: 2 rho^2 >= 1, so m = 1 has no a priori bound
     t = gen_random_spd_toeplitz(24, 1.0, 1e12, 5)
@@ -417,8 +437,9 @@ def _kind_args():
 @pytest.mark.parametrize("rep", ["pfd", "barycentric", "thiele"])
 def test_auto_degree_evaluates_r_mu_once(rep, kind, monkeypatch):
     # one evaluation per degree inside residual_sqrt (r_nu) and one of r_mu
-    # at the returned degree, with the history of the eager sweep; every
-    # case stops at a rejected degree below m_max
+    # at the returned degree, with the history of the eager sweep over the
+    # degrees tried: from m0 for pfd, from 1 otherwise; every case stops at
+    # a rejected degree below m_max
     a = _kind_args()[kind]
     spec = inv_sqrt_spec()
     g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
@@ -436,16 +457,12 @@ def test_auto_degree_evaluates_r_mu_once(rep, kind, monkeypatch):
     assert len(calls) == len(res.history) + 1
     r_mu = fit_interpolant(spec, optimal_nodes(g, res.m), rep,
                            interval=(spec.alpha, spec.beta))
-    want = eval_rational_at_matrix(r_mu, a).data
-    got = res.approximation.data
-    if kind == "tl":
-        assert np.array_equal(got.G, want.G) and np.array_equal(got.B, want.B)
-    else:
-        assert np.array_equal(got, want)
-    eager = degree_sweep(spec, a, g, rep, range(1, len(res.history) + 1),
+    assert _same_data(res.approximation.data, eval_rational_at_matrix(r_mu, a).data)
+    start = _m0(g, a.n, 20) if rep == "pfd" else 1
+    assert res.history[0][0] == start and (start > 1) == (rep == "pfd")
+    eager = degree_sweep(spec, a, g, rep, range(start, res.history[-1][0] + 1),
                          lambda r: eval_rational_at_matrix(r, a))
-    assert res.history == tuple((rec.m, rec.residual, rec.apriori, rec.accepted)
-                                for rec in eager)
+    assert res.history == _rows(eager)
 
 
 @pytest.mark.parametrize("run", [
@@ -470,21 +487,143 @@ def test_degree_sweep_rejects_unknown_representation_before_fitting(monkeypatch)
 
 
 def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
-    # a pfd r_mu with a pole in [c, d] still rejects its degree
+    # a pfd r_mu with a pole in [c, d] still rejects its degree; at m0 that
+    # sends the search back to the sweep from m = 1
     a = _kind_args()["dense"]
     spec = inv_sqrt_spec()
     g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m0 = _m0(g, a.n, 6)
+    assert m0 > 2
     fit = matfun.fit_interpolant
 
     def bad_pole(s, nodes, rep, interval=None):
         r = fit(s, nodes, rep, interval=interval)
-        if s is spec and len(nodes) == 6:  # m = 3
+        if s is spec and len(nodes) == 2 * m0:
             return PartialFraction((a.c + 1.0,), (1.0,))
         return r
 
     monkeypatch.setattr(matfun, "fit_interpolant", bad_pole)
     res = auto_degree(spec, a, g, "pfd", m_max=6)
-    assert res.m == 2 and res.history[2][1] == INF and not res.history[2][3]
+    assert res.m == m0 - 1
+    assert res.history[-1][0] == m0 and res.history[-1][1] == INF and not res.history[-1][3]
+    assert res.history == _sweep_from_one(spec, a, g, "pfd", 6)[2]
+
+
+def _m0(g, n, m_max):
+    """The warm start's first degree by its rule: the largest m <= m_max
+    whose a priori bound is at least 1e3 n eps or invalid, else 1."""
+    def above_floor(m):
+        try:
+            return apriori_bound(g, m) >= 1e3 * n * np.finfo(float).eps
+        except BoundInvalid:
+            return True
+    return max((m for m in range(1, m_max + 1) if above_floor(m)), default=1)
+
+
+def _rows(records):
+    return tuple((rec.m, rec.residual, rec.apriori, rec.accepted) for rec in records)
+
+
+def _sweep_from_one(spec, a, g, rep, m_max):
+    """(m, r_m(A), rows) of stop-one-before over degree_sweep from m = 1,
+    the search without a warm start."""
+    def checked(r):
+        matfun._check_poles(r, a)
+        return r
+
+    records, prev = [], None
+    for rec in degree_sweep(spec, a, g, rep, range(1, m_max + 1), checked):
+        records.append(rec)
+        if not rec.accepted:
+            break
+        prev = rec
+    return prev.m, eval_rational_at_matrix(prev.value, a).data, _rows(records)
+
+
+def _same_data(x, y):
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return np.array_equal(x.G, y.G) and np.array_equal(x.B, y.B)
+
+
+def _toeplitz_arg(kind, n, kappa, seed=0):
+    t = gen_random_spd_toeplitz(n, 1.0, kappa, seed)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    eigs = np.linalg.eigvalsh(dense)
+    return tl_arg(t, eigs[0], eigs[-1]) if kind == "tl" else dense_arg(dense, eigs[0], eigs[-1])
+
+
+_SPECS = {"inv_sqrt": inv_sqrt_spec, "log": log_spec, "pow-0.3": lambda: power_spec(-0.3)}
+
+
+@pytest.mark.parametrize("spec_name", list(_SPECS))
+@pytest.mark.parametrize("kappa", [10.0, 1e2, 1e4])
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("kind", ["tl", "dense"])
+def test_warm_start_returns_the_sweep_from_one(kind, n, kappa, spec_name):
+    # the sweep from m0 returns the degree and the r(A) of the sweep from 1,
+    # and its history is the tail of that sweep's rows
+    a = _toeplitz_arg(kind, n, kappa)
+    spec = _SPECS[spec_name]()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m, want, rows = _sweep_from_one(spec, a, g, "pfd", 20)
+    res = auto_degree(spec, a, g, "pfd", m_max=20)
+    assert res.m == m and _same_data(res.approximation.data, want)
+    assert res.history[0][0] == _m0(g, a.n, 20) > 1
+    assert res.history == rows[res.history[0][0] - 1:]
+
+
+@pytest.mark.parametrize("case", ["m_max-1", "kappa-1e12", "floor-at-2",
+                                  "barycentric", "thiele"])
+def test_warm_start_edge_cases(case):
+    rep, m_max = "pfd", 6
+    if case == "m_max-1":
+        a, m_max = _toeplitz_arg("dense", 32, 1e2), 1
+    elif case == "kappa-1e12":
+        # no a priori bound at m = 1; m0 = 6 is rejected (every pfd degree
+        # from m = 3 on is here), so the search reruns from m = 1
+        a = _toeplitz_arg("dense", 24, 1e12, seed=5)
+    elif case == "floor-at-2":
+        # [1, 1.001]: 8 rho^4 = 1.2e-16 is below 1e3 n eps already at m = 2
+        a = diag_arg(np.linspace(1.0, 1.001, 32))
+    else:
+        a, rep = _toeplitz_arg("dense", 32, 1e2), case
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m0 = matfun._start_degree(g, rep, a.n, m_max)
+    assert m0 == (_m0(g, a.n, m_max) if rep == "pfd" else 1)
+    if case == "kappa-1e12":
+        with pytest.raises(BoundInvalid):
+            apriori_bound(g, 1)
+        assert m0 == 6
+    elif rep != "pfd":
+        assert matfun._start_degree(g, "pfd", a.n, m_max) > 1
+    else:
+        assert m0 == 1
+    m, want, rows = _sweep_from_one(spec, a, g, rep, m_max)
+    res = auto_degree(spec, a, g, rep, m_max)
+    assert res.m == m and _same_data(res.approximation.data, want)
+    assert res.history == rows and res.history[0][0] == 1
+
+
+def test_rejection_at_m0_gives_the_sweep_from_one(monkeypatch):
+    # a residual forced above the threshold at m0 sends the search back to
+    # m = 1, whose history is today's whole sweep
+    a = _toeplitz_arg("tl", 32, 1e2)
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m, want, rows = _sweep_from_one(spec, a, g, "pfd", 20)
+    residual, tried = matfun.residual_sqrt, []
+
+    def first_fails(arg, r_nu, geom):
+        tried.append(len(r_nu.nodes) // 2)
+        return INF if len(tried) == 1 else residual(arg, r_nu, geom)
+
+    monkeypatch.setattr(matfun, "residual_sqrt", first_fails)
+    res = auto_degree(spec, a, g, "pfd", m_max=20)
+    assert tried[0] == _m0(g, a.n, 20) > 1 and tried[1:] == list(range(1, m + 2))
+    assert res.m == m and _same_data(res.approximation.data, want)
+    assert res.history == rows
 
 
 # --------------------------------------------------------------- sqrt_db_newton

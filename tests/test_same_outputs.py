@@ -18,8 +18,9 @@ def tool():
     return mod
 
 
-def _record(m=3, accepted=(1, 1, 0), g=1.0, digits=8.0, error=None, to_dense=5):
-    hist = np.array([[k + 1, 1e-9, 1e-8, a] for k, a in enumerate(accepted)], dtype=float)
+def _record(m=3, accepted=(1, 1, 0), g=1.0, digits=8.0, error=None, to_dense=5, first=1):
+    hist = np.array([[first + k, 1e-9, 1e-8, a] for k, a in enumerate(accepted)],
+                    dtype=float)
     out = {"m": np.array(m), "history": hist, "ell": np.array(1),
            "to_dense": np.array(to_dense), "G": np.full((4, 2), g), "B": np.ones((4, 2))}
     return {"error": error, "out": None if error else out, "digits": digits}
@@ -27,6 +28,10 @@ def _record(m=3, accepted=(1, 1, 0), g=1.0, digits=8.0, error=None, to_dense=5):
 
 @pytest.mark.parametrize("b, want", [
     pytest.param(_record(to_dense=7), ("bitwise", 0.0), id="work-count-aside"),
+    pytest.param(_record(accepted=(1, 0), first=2), ("history tail", 0.0), id="history-tail"),
+    pytest.param(_record(accepted=(1, 1)), ("differs", None), id="history-head"),
+    pytest.param(_record(accepted=(1, 0), first=2, g=2.0), ("differs", None),
+                 id="history-tail-other-output"),
     pytest.param(_record(g=1.0 + 1e-15, digits=8.25), ("same flags", 0.25), id="digits"),
     pytest.param(_record(m=2), ("differs", None), id="degree"),
     pytest.param(_record(accepted=(1, 0, 0)), ("differs", None), id="accept-flag"),
@@ -46,14 +51,16 @@ def test_compare_prints_each_operation_and_a_summary(tool, capsys):
         return [dict(r, workload="dense", seed=1, index=i, label=f"op{i}")
                 for i, r in enumerate(recs)]
 
-    parent = records(_record(), _record(), _record(error="NoConvergence: x"))
+    parent = records(_record(), _record(), _record(error="NoConvergence: x"), _record())
     change = records(_record(to_dense=7), _record(g=2.0, digits=8.5),
-                     _record(error="NoConvergence: x"))
+                     _record(error="NoConvergence: x"), _record(accepted=(0,), first=3))
     assert tool.compare(parent, change)
     assert capsys.readouterr().out.splitlines() == [
         "dense seed 1 op 0 op0: bitwise",
         "dense seed 1 op 1 op1: same m/ell/accept flags, |delta digits| = 5.00e-01",
         "dense seed 1 op 2 op2: same error",
-        "dense: bitwise 1, same flags 1, same error 1, differs 0, max |delta digits| 5.00e-01"]
+        "dense seed 1 op 3 op3: bitwise, history from m = 3",
+        "dense: bitwise 1, history tail 1, same flags 1, same error 1, differs 0, "
+        "max |delta digits| 5.00e-01"]
     assert not tool.compare(parent, records(_record(), _record(m=2), _record()))
     assert not tool.compare(parent, parent[:2])

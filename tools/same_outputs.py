@@ -10,6 +10,10 @@ against the eigh oracles of ``perfbench/workloads``.  Nothing under
 
     bitwise         every output array is equal by ``worker.same`` (the
                     to_dense count aside)
+    bitwise, history from m = k
+                    the same, but the change's degree history is the tail
+                    of the parent's rows from degree k on: it started its
+                    degree search at k
     same m/ell/accept flags, |delta digits| = x
                     returned degree, scaling and per-degree accept flags
                     agree, and the checked digits differ by x
@@ -93,7 +97,7 @@ def _flags(out: dict) -> dict:
     return {k: out[k] for k in ("rep", "m", "accepted")}
 
 
-VERDICTS = ("bitwise", "same flags", "same error", "differs")
+VERDICTS = ("bitwise", "history tail", "same flags", "same error", "differs")
 
 
 def verdict(a: dict, b: dict) -> tuple[str, float | None]:
@@ -107,6 +111,11 @@ def verdict(a: dict, b: dict) -> tuple[str, float | None]:
               for r in (a, b))
     if same(oa, ob):
         return "bitwise", 0.0
+    ha, hb = oa.get("history"), ob.get("history")
+    # a shorter history equal to the last rows of the parent's
+    if ha is not None and hb is not None and 0 < len(hb) < len(ha) \
+            and same(dict(oa, history=ha[len(ha) - len(hb):]), ob):
+        return "history tail", 0.0
     if same(_flags(oa), _flags(ob)):
         return "same flags", abs(a["digits"] - b["digits"])
     return "differs", None
@@ -122,8 +131,11 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
     counts, worst = {}, {}
     for a, b in zip(parent, change):
         kind, delta = verdict(a, b)
-        text = (f"same m/ell/accept flags, |delta digits| = {delta:.2e}"
-                if kind == "same flags" else kind)
+        text = kind
+        if kind == "same flags":
+            text = f"same m/ell/accept flags, |delta digits| = {delta:.2e}"
+        elif kind == "history tail":
+            text = f"bitwise, history from m = {b['out']['history'][0, 0]:g}"
         print(f"{a['workload']} seed {a['seed']} op {a['index']} {a['label']}: {text}")
         counts.setdefault(a["workload"], dict.fromkeys(VERDICTS, 0))[kind] += 1
         worst[a["workload"]] = max(worst.get(a["workload"], 0.0), delta or 0.0)
