@@ -1,6 +1,7 @@
 """Markov functions of SPD Toeplitz matrices via rational interpolation at
-quasi-optimal nodes, with certified relative-error bounds and
-displacement-structured matrix arithmetic."""
+quasi-optimal nodes, with a priori relative-error bounds, a residual that is
+an exact norm on dense and diagonal arguments and a Lanczos estimate on
+Toeplitz-like ones, and displacement-structured matrix arithmetic."""
 
 from .approx import (Geometry, apriori_bound, blaschke_eta, build_geometry,
                      condenser_rate, cross_ratio, disk_error_bound,

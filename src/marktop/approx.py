@@ -154,8 +154,6 @@ def phi(g: Geometry, z: float) -> float:
     """Conformal map of the complement of [alpha, beta] onto |w| > 1,
     normalized so that phi(c) = 1/lambda and phi(d) = -1/lambda."""
     y = moebius_T_inv(g, z)
-    if math.isinf(y):
-        return y
     if -1.0 <= y <= 1.0:
         raise DomainError(f"z = {z} lies in [alpha, beta]")
     return y + math.copysign(math.sqrt(y * y - 1.0), y)
@@ -166,16 +164,13 @@ def phi_inv(g: Geometry, w: float) -> float:
     return moebius_T(g, y)
 
 
-def _node_u(g: Geometry, z: float) -> float:
-    w = phi(g, z)
-    return 0.0 if math.isinf(w) else 1.0 / w
-
-
 # ---------------------------------------------------------------------------
 # Blaschke products and quasi-optimal nodes
 # ---------------------------------------------------------------------------
 
 _ETA_GRID = 2001
+_ETA_ZOOM = 21     # points per refining pass; each pass narrows 10x
+_ETA_PASSES = 10
 
 
 def _abs_blaschke(u, u_nodes: np.ndarray):
@@ -189,26 +184,20 @@ def _abs_blaschke(u, u_nodes: np.ndarray):
 def blaschke_eta(g: Geometry, nodes) -> float:
     """eta_2m for a set of interpolation nodes: the maximum over [c, d]
     of the Blaschke product with zeros at the nodes, by a grid search over
-    [-lam, lam] in the u-coordinate refined by a bounded local search.
+    [-lam, lam] in the u-coordinate refined by nested grids between the
+    neighbours of each pass's maximum.
 
     ``nodes`` is any sequence of reals outside [alpha, beta] (repetitions
     allowed, e.g. Pade configurations).
     """
-    u_nodes = np.array([_node_u(g, z) for z in nodes])
+    u_nodes = np.array([1.0 / phi(g, z) for z in nodes])
     grid = g.lam * np.cos(np.pi * np.arange(_ETA_GRID) / (_ETA_GRID - 1))
-    vals = _abs_blaschke(grid, u_nodes)
-    i = int(np.argmax(vals))
-    lo = grid[min(i + 1, _ETA_GRID - 1)]
-    hi = grid[max(i - 1, 0)]
-    best = float(vals[i])
-    if lo < hi:
-        # imported here, as it loads scipy.sparse and scipy.spatial: 0.2 s
-        # of a 1.0 s `import marktop` on a 2-core x86 host
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda u: -_abs_blaschke(u, u_nodes),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        best = max(best, float(-res.fun))
+    best = 0.0
+    for _ in range(_ETA_PASSES + 1):
+        vals = _abs_blaschke(grid, u_nodes)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], _ETA_ZOOM)
     return best
 
 

@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marktop",
         description="Markov functions of SPD Toeplitz matrices via rational "
-                    "interpolation with certified error bounds.")
+                    "interpolation with a priori error bounds and a residual "
+                    "stopping rule (a Lanczos estimate on Toeplitz-like arguments).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nodes", help="print optimal nodes and bounds")

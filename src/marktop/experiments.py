@@ -137,8 +137,8 @@ def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
         approx = mf.eval_rational_at_matrix(r, arg)
         rel_err = math.nan
         if oracle is not None:
-            rel_err = mf.spectral_norm(mf.mat_to_dense(approx) - oracle) / oracle_norm
-        return rel_err, approx.data.width if isinstance(approx.data, tl.TLMatrix) else 0
+            rel_err = mf.spectral_norm(arg.ops.to_dense(approx) - oracle) / oracle_norm
+        return rel_err, approx.width if isinstance(approx, tl.TLMatrix) else 0
 
     return [_row(config.case, rep, rec)
             for rec in mf.degree_sweep(spec, arg, g, rep,

@@ -3,9 +3,10 @@
 Arguments come in three flavors (dense symmetric, Toeplitz-like in
 generator form, diagonal-by-eigenvalues) wrapped in MatArg together with
 spectral bounds [c, d].  On top of the interpolant evaluation sit the
-residual certificate, automatic degree selection with the stop-one-before
-rule, the scaled Denman-Beavers Newton square root, and inverse scaling
-and squaring drivers for the logarithm and fractional powers.
+worst-case residual (an exact norm on dense and diagonal arguments, a
+Lanczos estimate on Toeplitz-like ones), automatic degree selection with
+the stop-one-before rule, the scaled Denman-Beavers Newton square root, and
+inverse scaling and squaring drivers for the logarithm and fractional powers.
 """
 
 from __future__ import annotations
@@ -191,26 +192,27 @@ def mat_to_dense(a: MatArg) -> np.ndarray:
 
 def _check_poles(r, a: MatArg):
     """Raise PoleCollision if a pole of a partial-fraction r lies in the
-    argument's [c, d]."""
+    argument's [c, d], widened by 1e-10 c on both sides."""
     if isinstance(r, PartialFraction):
-        tol = 1e-10 * max(a.d - a.c, 1.0)
+        tol = 1e-10 * a.c
         for x in r.poles:
             if a.c - tol <= x <= a.d + tol:
                 raise PoleCollision(f"pole {x} inside spectral interval [{a.c}, {a.d}]")
 
 
-def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
-    """r(A) in r's own representation: partial fractions sum shifted
-    inverses, barycentric forms P(A) Q(A)^{-1}, Thiele inverts its backward
-    recurrence.  Diagonal arguments apply r entrywise on the spectrum."""
+def eval_rational_at_matrix(r, a: MatArg):
+    """r(A)'s data, of the argument's kind, in r's own representation:
+    partial fractions sum shifted inverses, barycentric forms P(A) Q(A)^{-1},
+    Thiele inverts its backward recurrence.  Diagonal arguments apply r
+    entrywise on the spectrum."""
     _check_poles(r, a)
     if a.ops is _DIAGONAL:
-        return replace(a, data=np.asarray(r(a.data), dtype=float))
+        return np.asarray(r(a.data), dtype=float)
     ops = a.ops
     if isinstance(r, PartialFraction):
         terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
                  for x, res in zip(r.poles, r.residuals))
-        return replace(a, data=functools.reduce(ops.add, terms))
+        return functools.reduce(ops.add, terms)
     # the shift-built levels below start from two nodes
     if len(r.params if isinstance(r, ThieleCF) else r.support) < 2:
         raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")
@@ -220,7 +222,7 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
         out = ops.shift(ops.scale(ops.shift(a.data, zt[len(p) - 2]), 1.0 / p[-1]), -p[-2])
         for j in range(len(p) - 3, -1, -1):
             out = ops.shift(ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)), -p[j])
-        return replace(a, data=ops.inv(out))
+        return ops.inv(out)
     # barycentric: running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
     # started at S_1, give sum_j c_j prod_{k != j} (A - t_k I), c_j = f_j w_j and w_j
     t, w, fw = r.support, r.weights, np.multiply(r.values, r.weights)
@@ -231,7 +233,7 @@ def eval_rational_at_matrix(r, a: MatArg) -> MatArg:
         lead, s = ops.mul(lead, s), ops.shift(a.data, t[j])
         num = ops.add(ops.mul(num, s), ops.scale(lead, fw[j]))
         den = ops.add(ops.mul(den, s), ops.scale(lead, w[j]))
-    return replace(a, data=ops.mul(num, ops.inv(den)))
+    return ops.mul(num, ops.inv(den))
 
 
 def _deviation(a: MatArg, apply) -> float:
@@ -245,7 +247,7 @@ def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
     alpha = -inf, applied factor by factor and never formed.  Its norm is exact
     on dense and diagonal arguments; on tl a Lanczos Ritz value, a lower estimate."""
     ops = a.ops
-    r = eval_rational_at_matrix(r_nu, a).data
+    r = eval_rational_at_matrix(r_nu, a)
     shifts = (g.beta,) if math.isinf(g.alpha) else (g.alpha, g.beta)
     scale = 1.0 if math.isinf(g.alpha) else 1.0 / abs(g.alpha)
 
@@ -270,8 +272,8 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     delta = relative_error_bound(g, nodes_mp)
     if delta >= 1.0:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
-    em = eval_rational_at_matrix(r_m, a).data
-    emp_inv = a.ops.inv(eval_rational_at_matrix(r_mp, a).data)
+    em = eval_rational_at_matrix(r_m, a)
+    emp_inv = a.ops.inv(eval_rational_at_matrix(r_mp, a))
     return (1.0 + delta) / (1.0 - delta) * _deviation(
         a, lambda v: a.ops.apply(em, a.ops.apply(emp_inv, v))) + delta
 
@@ -294,7 +296,7 @@ class DegreeRecord:
 def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
                  measure):
     """For each m in the sequence ms fit r_m of spec and of the worst-case
-    function at the quasi-optimal nodes, apply measure to r_m and certify
+    function at the quasi-optimal nodes, apply measure to r_m and test
     it with the worst-case residual on a; yield one DegreeRecord per degree.
 
     The geometry's [c, d] must enclose the argument's own [c, d]: a looser
@@ -390,8 +392,8 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
     if prev is None:
         raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
                                 f"{rec.threshold:.3g} already at m=1")
-    return MatFunResult(eval_rational_at_matrix(prev.value, a), prev.m,
-                        tuple(history), not_triggered=rec.accepted)
+    return MatFunResult(replace(a, data=eval_rational_at_matrix(prev.value, a)),
+                        prev.m, tuple(history), not_triggered=rec.accepted)
 
 
 # ---------------------------------------------------------------------------

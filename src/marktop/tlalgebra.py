@@ -248,25 +248,20 @@ def compress(a: TLMatrix) -> TLMatrix:
     return replace(a, G=g, B=b)
 
 
-def _levinson(col, rhs):
-    """solve_toeplitz for the symmetric Toeplitz matrix with first column col,
-    with numpy's singular-matrix error and an overflowing recursion, which
-    returns nonfinite values silently, as SingularMatrix."""
+def solve(a: TLMatrix, rhs):
+    """Solve A x = rhs by the Levinson recursion on a tagged A; an untagged
+    matrix is inverted, not solved.  numpy's singular-matrix error and an
+    overflowing recursion, which returns nonfinite values silently, raise
+    SingularMatrix."""
+    if a.toeplitz is None:
+        raise DimensionError("solve needs a tagged matrix; invert an untagged one")
     try:
-        x = scipy.linalg.solve_toeplitz(col, rhs)
+        x = scipy.linalg.solve_toeplitz(a.toeplitz, np.asarray(rhs, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("Levinson recursion overflowed to nonfinite values")
     return x
-
-
-def solve(a: TLMatrix, rhs):
-    """Solve A x = rhs by the Levinson recursion on a tagged A; an untagged
-    matrix is inverted, not solved."""
-    if a.toeplitz is None:
-        raise DimensionError("solve needs a tagged matrix; invert an untagged one")
-    return _levinson(a.toeplitz, np.asarray(rhs, dtype=float))
 
 
 # a tagged matrix is its own transpose

@@ -14,13 +14,13 @@ def levinson_calls(monkeypatch):
     scipy runs one recursion per right-hand-side column."""
     from marktop import tlalgebra
     calls = []
-    levinson = tlalgebra._levinson
+    solve = tlalgebra.solve
 
-    def counting(col_row, rhs):
+    def counting(a, rhs):
         calls.append(np.shape(rhs))
-        return levinson(col_row, rhs)
+        return solve(a, rhs)
 
-    monkeypatch.setattr(tlalgebra, "_levinson", counting)
+    monkeypatch.setattr(tlalgebra, "solve", counting)
     return calls
 
 

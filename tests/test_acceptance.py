@@ -208,7 +208,7 @@ def test_criterion_8_end_to_end_log_over_zm1():
             warnings.simplefilter("ignore")
             r = fit_interpolant(spec, optimal_nodes(g, m), "pfd",
                                 interval=(-INF, 0.0))
-        approx = mat_to_dense(eval_rational_at_matrix(r, arg))
+        approx = arg.ops.to_dense(eval_rational_at_matrix(r, arg))
         err_m = np.linalg.norm(approx - oracle, 2) / oracle_norm
         assert err_m <= apr + 1e-12, (m, err_m, apr)
     wall = time.perf_counter() - t0
@@ -269,7 +269,7 @@ def test_criterion_10_performance_smoke(levinson_calls, dense_calls, compress_wi
     tau_a = 2
     peak_width = max(compress_widths)
     assert peak_width <= 2 * m * (tau_a + 1), compress_widths
-    assert out.data.width <= 2 * m * (tau_a + 1)
+    assert out.width <= 2 * m * (tau_a + 1)
     # a shifted SPD inverse at n = 4096: one Levinson recursion, no densifying
     shifted = shift(from_toeplitz(col2), -1.0)
     levinson_calls.clear()

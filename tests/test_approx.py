@@ -243,20 +243,37 @@ def test_disk_error_bound():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # only blaschke_eta needs scipy.optimize, and imports it when called;
     # the import and the argument set-up that the benchmark's setup_s times
-    # load no public scipy subpackage besides linalg and special
-    code = ("import sys, numpy as np, marktop; "
-            "assert 'scipy.optimize' not in sys.modules, 'loaded at import'; "
-            "col = np.array([2.0, 0.5, 0.1]); "
-            "marktop.tl_arg(marktop.from_toeplitz(col), 1.0, 3.0); "
-            "marktop.dense_arg(np.eye(3), 1.0, 1.0); "
-            "marktop.build_geometry(-float('inf'), 0.0, 1.0, 3.0); "
-            "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}; "
-            "public = {m for m in loaded if not m.startswith('_')} - {'version'}; "
-            "assert public == {'linalg', 'special'}, sorted(public); "
-            "marktop.blaschke_eta(marktop.build_geometry(-1.0, 0.0, 1.0, 4.0), [2.0]); "
-            "assert 'scipy.optimize' in sys.modules")
+    # load no public scipy subpackage besides linalg and special, and eta,
+    # the a posteriori bound and `marktop nodes` load none either
+    code = """
+import contextlib, io, sys, numpy as np, marktop
+from marktop import cli
+
+def public():
+    loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}
+    return {m for m in loaded if not m.startswith('_')} - {'version'}
+
+assert 'scipy.optimize' not in sys.modules, 'loaded at import'
+col = np.array([2.0, 0.5, 0.1])
+marktop.tl_arg(marktop.from_toeplitz(col), 1.0, 3.0)
+a = marktop.dense_arg(np.eye(3), 1.0, 1.0)
+g = marktop.build_geometry(-float('inf'), 0.0, 1.0, 3.0)
+assert public() == {'linalg', 'special'}, sorted(public())
+marktop.blaschke_eta(marktop.build_geometry(-1.0, 0.0, 1.0, 4.0), [2.0])
+assert 'scipy.optimize' not in sys.modules, 'loaded by blaschke_eta'
+marktop.relative_error_bound(g, marktop.optimal_nodes(g, 2))
+assert 'scipy.optimize' not in sys.modules, 'loaded by relative_error_bound'
+r_m, r_mp = (marktop.fit_interpolant(marktop.inv_sqrt_spec(), marktop.optimal_nodes(g, m),
+                                     'pfd', interval=(g.alpha, g.beta)) for m in (2, 3))
+marktop.aposteriori_bound(a, r_m, r_mp, g)
+assert 'scipy.optimize' not in sys.modules, 'loaded by aposteriori_bound'
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(['nodes', '--alpha=-inf', '--beta', '0', '--c', '1', '--d', '4',
+                     '--m', '3']) == 0
+assert 'scipy.optimize' not in sys.modules, 'loaded by marktop nodes'
+assert public() == {'linalg', 'special'}, sorted(public())
+"""
     src = os.path.dirname(os.path.dirname(marktop.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

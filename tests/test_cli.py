@@ -9,7 +9,7 @@ import pytest
 from marktop import cli
 from marktop import tlalgebra as tl
 from marktop.approx import apriori_bound, build_geometry
-from marktop.cli import EXIT_CONFIG, EXIT_OK, main
+from marktop.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from marktop.errors import DimensionError
 from marktop.experiments import (CSV_HEADER, ExperimentConfig,
                                  gen_random_spd_toeplitz, laplacian1d)
@@ -30,6 +30,14 @@ def test_nodes_ok(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "nodes:" in out and "apriori" in out and "eta" in out
+
+
+def test_nodes_without_apriori_bound(capsys):
+    # at [1, 1e12] 2 rho^2 >= 1: m = 1 has no a priori bound
+    rc = main(["nodes", "--alpha=-inf", "--beta", "0", "--c", "1",
+               "--d", "1e12", "--m", "1"])
+    assert rc == EXIT_OK
+    assert "apriori = invalid" in capsys.readouterr().out
 
 
 def test_nodes_bad_interval_exits_2(capsys):
@@ -252,6 +260,15 @@ def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys)
     rc = main(["matfun", "--matrix", "file", "--path", str(path)])
     assert rc == EXIT_CONFIG
     assert "Singular" in capsys.readouterr().err
+
+
+def test_non_marktop_exception_exits_3(monkeypatch, capsys):
+    def broken(config):
+        raise ValueError("not a marktop error")
+
+    monkeypatch.setattr(cli.ex, "run_experiment", broken)
+    assert main(["matfun", "--n", "8"]) == EXIT_RUNTIME
+    assert "runtime failure: not a marktop error" in capsys.readouterr().err
 
 
 def test_power_spec_requires_gamma(capsys):

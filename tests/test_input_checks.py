@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from marktop import (Barycentric, DimensionError, DomainError, InvalidInterval,
-                     MatArg, ThieleCF, TLMatrix, auto_degree, build_geometry,
-                     check_hankel_definiteness, dense_arg, diag_arg,
-                     eval_rational_at_matrix, frac_power, from_toeplitz,
-                     inv_sqrt_spec, optimal_nodes, tl_arg)
+                     MarkovSpec, MatArg, ThieleCF, TLMatrix, auto_degree,
+                     build_geometry, check_hankel_definiteness, dense_arg,
+                     diag_arg, eval_rational_at_matrix, frac_power, from_toeplitz,
+                     inv_sqrt_spec, optimal_nodes, taylor_coeffs, tl_arg)
 from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
                                  laplacian1d)
 from marktop.interp import MAX_PFD_DEGREE, barycentric_fit, loewner_pfd
 from marktop.matfun import degree_sweep
 from marktop.tlalgebra import add as tl_add
-from marktop.tlalgebra import invert, read_toeplitz
+from marktop.tlalgebra import invert, multiply, read_toeplitz
 
 
 def _short_file(tmp_path):
@@ -102,6 +102,15 @@ def _short_file(tmp_path):
                  DimensionError, "must be nonnegative, got n = -1", id="hankel-negative-n"),
     pytest.param(lambda tmp: tl_add(from_toeplitz([2.0, 1.0]), from_toeplitz([2.0])),
                  DimensionError, "size mismatch 2 vs 1", id="tl-add-size-mismatch"),
+    pytest.param(lambda tmp: multiply(from_toeplitz([2.0, 1.0]), from_toeplitz([2.0])),
+                 DimensionError, "size mismatch 2 vs 1", id="tl-multiply-size-mismatch"),
+    pytest.param(lambda tmp: TLMatrix(3, np.ones((3, 2)), np.ones((3, 1))),
+                 DimensionError, r"generator shapes \(3, 2\)/\(3, 1\) for n=3",
+                 id="tlmatrix-generator-shapes"),
+    pytest.param(lambda tmp: MarkovSpec(-np.inf, np.inf, np.sqrt),
+                 InvalidInterval, "beta must be finite", id="markov-spec-beta-inf"),
+    pytest.param(lambda tmp: taylor_coeffs(inv_sqrt_spec(), 0.0, 3),
+                 DomainError, "z0 > beta = 0.0", id="taylor-z0-at-beta"),
     pytest.param(lambda tmp: eval_rational_at_matrix(
                      ThieleCF((2.0,), (0.5,), True), dense_arg(np.eye(2), 1.0, 3.0)),
                  DimensionError, "two or more nodes", id="thiele-one-node"),

@@ -45,17 +45,17 @@ def markov_interpolant(c, d, m, rep="pfd"):
 def test_eval_at_identity_is_scalar_value():
     _, r = markov_interpolant(0.5, 1.5, 3)
     out = eval_rational_at_matrix(r, dense_arg(np.eye(6), 1.0, 1.0))
-    assert np.allclose(out.data, r(1.0) * np.eye(6), atol=1e-13)
+    assert np.allclose(out, r(1.0) * np.eye(6), atol=1e-13)
 
 
 def test_eval_diagonal_spectral_map():
     _, r = markov_interpolant(0.5, 1.0, 3)
     lam = cosine_points(0.5, 1.0, 20)
     out = eval_rational_at_matrix(r, diag_arg(lam))
-    assert np.allclose(out.data, r(lam), rtol=1e-12)
+    assert np.allclose(out, r(lam), rtol=1e-12)
     # a one-node r is a constant, which the spectrum takes entrywise too
     for const in (ThieleCF((2.0,), (0.5,), True), Barycentric((2.0,), (1.0,), (0.5,))):
-        assert np.array_equal(eval_rational_at_matrix(const, diag_arg(lam)).data, const(lam))
+        assert np.array_equal(eval_rational_at_matrix(const, diag_arg(lam)), const(lam))
 
 
 def test_eval_dense_vs_tl_pfd():
@@ -65,8 +65,8 @@ def test_eval_dense_vs_tl_pfd():
     eigs = np.linalg.eigvalsh(dense)
     c, d = eigs[0] * 0.99, eigs[-1] * 1.01
     _, r = markov_interpolant(c, d, 6)
-    out_d = eval_rational_at_matrix(r, dense_arg(dense, c, d)).data
-    out_t = to_dense(eval_rational_at_matrix(r, tl_arg(from_toeplitz(col), c, d)).data)
+    out_d = eval_rational_at_matrix(r, dense_arg(dense, c, d))
+    out_t = to_dense(eval_rational_at_matrix(r, tl_arg(from_toeplitz(col), c, d)))
     assert np.linalg.norm(out_t - out_d, 2) <= 1e-9 * np.linalg.norm(out_d, 2)
 
 
@@ -86,11 +86,11 @@ def test_thiele_and_barycentric_levels_are_shifts(m, levinson_calls, dense_calls
                         lambda x, y: products.append(x.n) or multiply(x, y))
     _, thiele = markov_interpolant(2.0, 6.0, m, "thiele")
     _, bary = markov_interpolant(2.0, 6.0, m, "barycentric")
-    out_t = eval_rational_at_matrix(thiele, a).data
+    out_t = eval_rational_at_matrix(thiele, a)
     assert levinson_calls == [(48,)]
     assert len(dense_calls) == 2 * m - 2
     products.clear()
-    out_b = eval_rational_at_matrix(bary, a).data
+    out_b = eval_rational_at_matrix(bary, a)
     assert len(products) == 3 * m - 2
     for r, out in ((thiele, out_t), (bary, out_b)):
         want = (v * r(w)) @ v.T
@@ -101,6 +101,20 @@ def test_eval_pole_collision():
     r = PartialFraction(poles=(0.75,), residuals=(1.0,))
     with pytest.raises(PoleCollision):
         eval_rational_at_matrix(r, dense_arg(np.eye(4), 0.5, 1.0))
+
+
+def test_pole_tolerance_follows_c_not_the_width():
+    # at [1, 1e12] a tolerance of 1e-10 (d - c) = 100 took the pfd poles at
+    # -39, -10.7 and -2.7 for points of [c, d] and rejected every degree from
+    # m = 3 on, so auto_degree returned m = 2 with relative error 0.70
+    a = _toeplitz_arg("dense", 24, 1e12, seed=5)
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    res = auto_degree(spec, a, g, "pfd", m_max=6)
+    oracle = dense_f_oracle(spec, a.data)
+    err = np.linalg.norm(res.approximation.data - oracle, 2) / np.linalg.norm(oracle, 2)
+    assert res.m == 6 and res.history[-1][3]
+    assert err <= res.history[-1][2] == apriori_bound(g, 6)
 
 
 # ---------------------------------------------------------------- residual_sqrt
@@ -388,8 +402,10 @@ def test_run_experiment_rows_match_auto_degree():
     for rep in config.reps:
         res = auto_degree(spec, a, g, rep, config.m_max)
         rep_rows = [row for row in rows if row.rep == rep]
-        assert res.history[0][2] is None
-        for (m, resid, apr, accepted), row in zip(res.history, rep_rows):
+        assert rep_rows[0].m == 1 and math.isnan(rep_rows[0].apriori)
+        # pfd's history starts at its start degree m0, the rows at m = 1
+        for (m, resid, apr, accepted), row in zip(res.history,
+                                                  rep_rows[res.history[0][0] - 1:]):
             assert (row.m, row.residual, row.accepted) == (m, resid, accepted)
             if apr is None:
                 assert math.isnan(row.apriori)
@@ -416,8 +432,8 @@ def test_data_picks_the_arithmetic():
     # a 2-D diagonal matrix is dense data, a 1-D array its eigenvalues
     eigs = np.array([1.0, 2.0, 3.0])
     g, r = markov_interpolant(1.0, 3.0, 3)
-    dense = eval_rational_at_matrix(r, MatArg(np.diag(eigs), 1.0, 3.0)).data
-    diagonal = eval_rational_at_matrix(r, MatArg(eigs, 1.0, 3.0)).data
+    dense = eval_rational_at_matrix(r, MatArg(np.diag(eigs), 1.0, 3.0))
+    diagonal = eval_rational_at_matrix(r, MatArg(eigs, 1.0, 3.0))
     assert dense.shape == (3, 3) and diagonal.shape == (3,)
     np.testing.assert_allclose(dense, np.diag(diagonal), rtol=1e-13, atol=1e-15)
     res = auto_degree(inv_sqrt_spec(), MatArg(eigs, 1.0, 3.0), g, "pfd", m_max=6)
@@ -457,7 +473,7 @@ def test_auto_degree_evaluates_r_mu_once(rep, kind, monkeypatch):
     assert len(calls) == len(res.history) + 1
     r_mu = fit_interpolant(spec, optimal_nodes(g, res.m), rep,
                            interval=(spec.alpha, spec.beta))
-    assert _same_data(res.approximation.data, eval_rational_at_matrix(r_mu, a).data)
+    assert _same_data(res.approximation.data, eval_rational_at_matrix(r_mu, a))
     start = _m0(g, a.n, 20) if rep == "pfd" else 1
     assert res.history[0][0] == start and (start > 1) == (rep == "pfd")
     eager = degree_sweep(spec, a, g, rep, range(start, res.history[-1][0] + 1),
@@ -509,6 +525,15 @@ def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
     assert res.history == _sweep_from_one(spec, a, g, "pfd", 6)[2]
 
 
+def test_start_degree_counts_invalid_bounds_as_above_the_floor():
+    # at [1, 1e40] 2 rho^(2m) >= 1 up to m = 3
+    g = build_geometry(-INF, 0.0, 1.0, 1e40)
+    for m in (1, 2, 3):
+        with pytest.raises(BoundInvalid):
+            apriori_bound(g, m)
+    assert matfun._start_degree(g, "pfd", 32, 3) == 3
+
+
 def _m0(g, n, m_max):
     """The warm start's first degree by its rule: the largest m <= m_max
     whose a priori bound is at least 1e3 n eps or invalid, else 1."""
@@ -537,7 +562,7 @@ def _sweep_from_one(spec, a, g, rep, m_max):
         if not rec.accepted:
             break
         prev = rec
-    return prev.m, eval_rational_at_matrix(prev.value, a).data, _rows(records)
+    return prev.m, eval_rational_at_matrix(prev.value, a), _rows(records)
 
 
 def _same_data(x, y):
@@ -580,8 +605,8 @@ def test_warm_start_edge_cases(case):
     if case == "m_max-1":
         a, m_max = _toeplitz_arg("dense", 32, 1e2), 1
     elif case == "kappa-1e12":
-        # no a priori bound at m = 1; m0 = 6 is rejected (every pfd degree
-        # from m = 3 on is here), so the search reruns from m = 1
+        # no a priori bound at m = 1; m0 = m_max = 6 is accepted, so the
+        # search tries that one degree
         a = _toeplitz_arg("dense", 24, 1e12, seed=5)
     elif case == "floor-at-2":
         # [1, 1.001]: 8 rho^4 = 1.2e-16 is below 1e3 n eps already at m = 2
@@ -603,7 +628,10 @@ def test_warm_start_edge_cases(case):
     m, want, rows = _sweep_from_one(spec, a, g, rep, m_max)
     res = auto_degree(spec, a, g, rep, m_max)
     assert res.m == m and _same_data(res.approximation.data, want)
-    assert res.history == rows and res.history[0][0] == 1
+    if case == "kappa-1e12":
+        assert res.m == 6 and len(res.history) == 1 and res.history == rows[5:]
+    else:
+        assert res.history == rows and res.history[0][0] == 1
 
 
 def test_rejection_at_m0_gives_the_sweep_from_one(monkeypatch):

@@ -436,6 +436,11 @@ def test_compress_padded_generators():
     assert np.allclose(to_dense(c), 2.0 * to_dense(a), atol=1e-12)
 
 
+def test_compress_width_zero_returns_it_unchanged():
+    a = TLMatrix(4, np.zeros((4, 0)), np.zeros((4, 0)))
+    assert compress(a) is a
+
+
 # ------------------------------------------------------------------- norm_est
 
 def test_norm_est_identity():
