@@ -6,7 +6,8 @@ spectral bounds [c, d].  On top of the interpolant evaluation sit the
 worst-case residual (an exact norm on dense and diagonal arguments, a
 Lanczos estimate on Toeplitz-like ones), automatic degree selection with
 the stop-one-before rule, the scaled Denman-Beavers Newton square root, and
-inverse scaling and squaring drivers for the logarithm and fractional powers.
+the drivers for the logarithm and fractional powers: inverse scaling and
+squaring, or on a tagged Toeplitz argument a shifted pole sum.
 """
 
 from __future__ import annotations
@@ -336,19 +337,23 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
 @dataclass(frozen=True)
 class MatFunResult:
     """approximation holds f(A) with the argument's own [c, d], not bounds
-    of the spectrum of f(A)."""
+    of the spectrum of f(A).  scaling is set by the two drivers: (ell, k,
+    gamma') for A^gamma = r(A_ell) A_ell^k, (ell, 0, None) for the logarithm,
+    with ell = 0 on the _pole_sum_route."""
 
     approximation: MatArg
     m: int
     history: tuple  # rows (m, residual, apriori or None, accepted)
     not_triggered: bool = False
-    scaling: tuple | None = None  # (ell, k, gamma_prime) when applicable
+    scaling: tuple | None = None
 
 
 def _start_degree(g: Geometry, rep: str, n: int, m_max: int) -> int:
     """The largest m <= m_max whose a priori bound is at least 1e3 n eps, or
     is not yet valid; 1 if there is none, and always 1 for a representation
     other than pfd, which stalls far above that floor on matrix arguments."""
+    if not isinstance(m_max, (int, np.integer)):
+        raise InvalidInterval(f"degrees must be integers, got m_max = {m_max!r}")
     m0 = 1
     if rep == "pfd":
         for m in range(2, m_max + 1):
@@ -361,24 +366,22 @@ def _start_degree(g: Geometry, rep: str, n: int, m_max: int) -> int:
     return m0
 
 
-def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
-                m_max: int = 20) -> MatFunResult:
-    """Increase m while the worst-case residual stays below five times the
-    a priori bound; return the last accepted degree (stop one before the
-    first violation).  r_mu(A) is evaluated once, at that degree.
+class _Fit(NamedTuple):
+    r: object           # the accepted r_mu, not yet evaluated at A
+    m: int
+    history: tuple
+    not_triggered: bool
 
-    pfd starts at the _start_degree m0, since its sharp a priori bound lets
-    only degrees near the rounding floor fail, and reruns from m = 1 if
-    m0 > 1 is rejected.  The history holds the degrees tried by the last
-    sweep."""
+
+def _accepted_fit(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str,
+                  m_max: int) -> _Fit:
+    """auto_degree's degree selection, without evaluating r_mu(A)."""
 
     def fitted(r_mu):
         # a pole in [c, d] still rejects the degree, without any matrix work
         _check_poles(r_mu, a)
         return r_mu
 
-    if not isinstance(m_max, (int, np.integer)):
-        raise InvalidInterval(f"degrees must be integers, got m_max = {m_max!r}")
     m0 = _start_degree(g, rep, a.n, m_max)
     for start in ((m0, 1) if m0 > 1 else (1,)):
         history, prev = [], None
@@ -392,8 +395,22 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
     if prev is None:
         raise DegreeUnavailable(f"residual {rec.residual:.3g} >= threshold "
                                 f"{rec.threshold:.3g} already at m=1")
-    return MatFunResult(replace(a, data=eval_rational_at_matrix(prev.value, a)),
-                        prev.m, tuple(history), not_triggered=rec.accepted)
+    return _Fit(prev.value, prev.m, tuple(history), rec.accepted)
+
+
+def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
+                m_max: int = 20) -> MatFunResult:
+    """Increase m while the worst-case residual stays below five times the
+    a priori bound; return the last accepted degree (stop one before the
+    first violation).  r_mu(A) is evaluated once, at that degree.
+
+    pfd starts at the _start_degree m0, since its sharp a priori bound lets
+    only degrees near the rounding floor fail, and reruns from m = 1 if
+    m0 > 1 is rejected.  The history holds the degrees tried by the last
+    sweep."""
+    fit = _accepted_fit(spec, a, g, rep, m_max)
+    return MatFunResult(replace(a, data=eval_rational_at_matrix(fit.r, a)),
+                        fit.m, fit.history, fit.not_triggered)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +482,33 @@ def _scaled_root(a: MatArg) -> tuple[int, MatArg]:
     return ell, a
 
 
+def _pole_sum_route(spec: MarkovSpec, a: MatArg, rep: str, m_max: int) -> bool:
+    """Whether a driver keeps ell = 0 and returns f(A) as a shifted pole sum:
+    A is a tagged Toeplitz argument, whose square root would be untagged and
+    densify every later inverse, r is a partial fraction, and its fit on
+    A's own [c, d] forms at auto_degree's start degree.  On a wide [c, d]
+    the Loewner pencil turns singular below that degree, the sweep stops
+    early and ell = 0 loses to square roots (log, n = 256, [1, 1e8]:
+    2.3e-5 against 2.9e-7)."""
+    if rep != "pfd" or not isinstance(a.data, tl.TLMatrix) or a.data.toeplitz is None:
+        return False
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    try:
+        nodes = optimal_nodes(g, _start_degree(g, rep, a.n, m_max))
+        _check_poles(fit_interpolant(spec, nodes, rep, interval=(g.alpha, g.beta)), a)
+    except MarktopError:
+        return False
+    return True
+
+
+def _shifted_pole_sum(r: PartialFraction, a: MatArg, s: float):
+    """(A - sI) r(A) for r = sum a_j/(z - x_j) without a matrix product, from
+    (z - s) r(z) = sum a_j + sum a_j (x_j - s)/(z - x_j): m shifted inverses
+    and one shift."""
+    q = replace(r, residuals=tuple(np.multiply(r.residuals, np.subtract(r.poles, s))))
+    return a.ops.shift(eval_rational_at_matrix(q, a), -math.fsum(r.residuals))
+
+
 def _times_power(ops: Ops, out, x, k: int):
     """out x^k by repeated squaring, O(log |k|) products, with one inverse
     when k < 0; out = None stands for I, formed only for x^0."""
@@ -480,42 +524,59 @@ def _times_power(ops: Ops, out, x, k: int):
 
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
     """log(A) = 2^ell log(A^(1/2^ell)) with the inner log through the
-    Markov function log(z)/(z-1): log(B) = (B - I) r_m(B)."""
-    ell, a_ell = _scaled_root(a)
+    Markov function log(z)/(z-1): log(B) = (B - I) r_m(B).  On the
+    _pole_sum_route, ell = 0 and log(A) is the shifted pole sum of r with
+    s = 1, no product."""
     spec = log_spec()
+    pole_sum = _pole_sum_route(spec, a, rep, m_max)
+    ell, a_ell = (0, a) if pole_sum else _scaled_root(a)
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
-    inner = auto_degree(spec, a_ell, g, rep, m_max)
+    fit = _accepted_fit(spec, a_ell, g, rep, m_max)
     ops = a.ops
-    out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0), inner.approximation.data),
-                    float(2 ** ell))
-    return replace(inner, approximation=replace(a, data=out), scaling=(ell, 0, None))
+    if pole_sum:
+        out = _shifted_pole_sum(fit.r, a_ell, 1.0)
+    else:
+        out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0),
+                                eval_rational_at_matrix(fit.r, a_ell)), float(2 ** ell))
+    return MatFunResult(replace(a, data=out), fit.m, fit.history, fit.not_triggered,
+                        scaling=(ell, 0, None))
 
 
 def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
                m_max: int = 20) -> MatFunResult:
     """A^gamma by inverse scaling and squaring: write 2^ell gamma = k + g'
     with k integer and g' in [-1, 0), then A^gamma = r(A_ell) A_ell^k where
-    r approximates z^g' and A_ell = A^(1/2^ell).  For gamma = 1 with ell = 0
-    the result holds the argument's own data object, not a copy."""
+    r approximates z^g' and A_ell = A^(1/2^ell).  For |gamma| < 1 on the
+    _pole_sum_route, ell = 0: k = 0 returns the pole sum r(A) itself, and
+    k = 1 the shifted pole sum A r(A) with s = 0, no product.  For gamma = 1
+    with ell = 0 the result holds the argument's own data object, not a
+    copy."""
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     if abs(gamma) * max(abs(math.log(a.c)), abs(math.log(a.d))) > _LOG_MAX:
         raise InvalidInterval(f"power exponent {gamma} takes [{a.c}, {a.d}] "
                               "beyond the float range")
     ops = a.ops
+    # at ell = 0, gamma in (0, 1) has k = 1 and gamma in (-1, 0) k = 0
+    pole_sum = (0.0 < abs(gamma) < 1.0
+                and _pole_sum_route(power_spec(gamma - (gamma > 0)), a, rep, m_max))
     # A^0 = I takes the integral branch below without a square root
-    ell, a_ell = _scaled_root(a) if gamma != 0.0 else (0, a)
+    ell, a_ell = (0, a) if pole_sum or gamma == 0.0 else _scaled_root(a)
     gp_total = 2 ** ell * gamma
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
         k, gp = int(gp_total), 0.0
-        inner, r = MatFunResult(a_ell, 0, ()), None
+        fit = _Fit(None, 0, (), False)
     else:
         k = math.floor(gp_total) + 1
         gp = gp_total - k
         spec = power_spec(gp)
         g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
-        inner = auto_degree(spec, a_ell, g, rep, m_max)
-        r = inner.approximation.data
-    out = _times_power(ops, r, a_ell.data, k)
-    return replace(inner, approximation=replace(a, data=out), scaling=(ell, k, gp))
+        fit = _accepted_fit(spec, a_ell, g, rep, m_max)
+    if pole_sum and k == 1:
+        out = _shifted_pole_sum(fit.r, a_ell, 0.0)
+    else:
+        r = None if fit.r is None else eval_rational_at_matrix(fit.r, a_ell)
+        out = _times_power(ops, r, a_ell.data, k)
+    return MatFunResult(replace(a, data=out), fit.m, fit.history, fit.not_triggered,
+                        scaling=(ell, k, gp))

@@ -222,19 +222,21 @@ def test_criterion_9_frac_power_laplacian():
     dense = scipy.linalg.toeplitz(t.toeplitz)
     ev = np.linalg.eigvalsh(dense)
     c, d = float(ev[0]), float(ev[-1])
-    arg = tl_arg(t, c, d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = frac_power(arg, -1.0 / 3.0, rep="pfd")
-    assert res.scaling[0] == 2
-    assert res.scaling[1] == -1
-    assert res.scaling[2] == pytest.approx(-1.0 / 3.0)
     w, v = np.linalg.eigh(dense)
     want = v @ np.diag(w ** (-1.0 / 3.0)) @ v.T
-    err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2) \
-        / np.linalg.norm(want, 2)
-    assert err <= 1e-8, err
-    print(f"criterion 9 PASS (scaling={res.scaling}, err={err:.2e})")
+    # inverse scaling and squaring on the dense argument; the tagged one
+    # keeps ell = 0 and returns the pole sum r(A) with k = 0
+    for arg, scaling in ((dense_arg(dense, c, d), (2, -1)), (tl_arg(t, c, d), (0, 0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = frac_power(arg, -1.0 / 3.0, rep="pfd")
+        assert res.scaling[0] == scaling[0]
+        assert res.scaling[1] == scaling[1]
+        assert res.scaling[2] == pytest.approx(-1.0 / 3.0)
+        err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2) \
+            / np.linalg.norm(want, 2)
+        assert err <= 1e-8, err
+        print(f"criterion 9 PASS (scaling={res.scaling}, err={err:.2e})")
 
 
 def test_criterion_10_performance_smoke(levinson_calls, dense_calls, compress_widths):

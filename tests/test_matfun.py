@@ -1,5 +1,6 @@
 """Matrix-function evaluation, certificates, degree selection, Newton."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -798,6 +799,90 @@ def test_frac_power_large_integral_exponent_by_squaring():
         assert res.scaling == (0, 10 ** 9, 0.0)
         got = np.diag(mat_to_dense(res.approximation))
         np.testing.assert_allclose(got, want, rtol=1e9 * np.finfo(float).eps)
+
+
+# ----------------------------------------------- tagged Toeplitz arguments
+
+_TAGGED_CASES = {"log": (log_via_scaling, log_spec(), np.log),
+                 "power-0.3": (lambda a: frac_power(a, 0.3), power_spec(-0.7),
+                               lambda w: w ** 0.3),
+                 "power-minus-0.7": (lambda a: frac_power(a, -0.7), power_spec(-0.7),
+                                     lambda w: w ** -0.7)}
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("case", list(_TAGGED_CASES))
+def test_tagged_drivers_stay_tagged(case, kappa, levinson_calls, dense_calls):
+    # ell = 0 and f(A) as one pole sum plus a constant: no Newton root, no
+    # densification, and the final f(A) costs one Levinson solve per pole
+    driver, spec, f = _TAGGED_CASES[case]
+    t = gen_random_spd_toeplitz(256, 1.0, kappa, 0)
+    a = tl_arg(t, 1.0, kappa)
+    res = driver(a)
+    assert res.scaling[0] == 0
+    assert dense_calls == []
+    total = len(levinson_calls)
+    levinson_calls.clear()
+    g = build_geometry(spec.alpha, spec.beta, 1.0, kappa)
+    assert matfun._accepted_fit(spec, a, g, "pfd", 20).m == res.m
+    assert total - len(levinson_calls) == res.m
+    w, v = np.linalg.eigh(scipy.linalg.toeplitz(t.toeplitz))
+    want = (v * f(w)) @ v.T
+    err = np.linalg.norm(to_dense(res.approximation.data) - want, 2) / np.linalg.norm(want, 2)
+    assert err <= (1e-11 if kappa <= 1e4 else 1e-9), err
+
+
+@pytest.mark.parametrize("spec, s", [(log_spec(), 1.0), (power_spec(-0.7), 0.0)],
+                         ids=["log", "power"])
+def test_shifted_pole_sum_is_the_product(spec, s):
+    lam = np.linspace(1.0, 100.0, 50)
+    g = build_geometry(spec.alpha, spec.beta, 1.0, 100.0)
+    r = fit_interpolant(spec, optimal_nodes(g, 8), "pfd", interval=(spec.alpha, spec.beta))
+    want = (lam - s) * r(lam)
+    got = matfun._shifted_pole_sum(r, diag_arg(lam), s)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_pole_sum_route_needs_tagged_data_and_a_pfd_fit_at_the_start_degree():
+    col = gen_random_spd_toeplitz(32, 1.0, 100.0, 0).toeplitz
+    eigs = np.linalg.eigvalsh(scipy.linalg.toeplitz(col))
+    untagged = dataclasses.replace(from_toeplitz(col), toeplitz=None)
+    for data, rep, route in ((from_toeplitz(col), "pfd", True),
+                             (from_toeplitz(col), "barycentric", False),
+                             (from_toeplitz(col), "thiele", False),
+                             (untagged, "pfd", False),
+                             (scipy.linalg.toeplitz(col), "pfd", False),
+                             (eigs, "pfd", False)):
+        assert matfun._pole_sum_route(log_spec(), MatArg(data, 1.0, 100.0), rep, 20) is route
+    # on [1, 1e8] the log fit's Loewner pencil is singular from m = 12 on,
+    # below the start degree 20, while the m = 4 fit still forms
+    wide = MatArg(from_toeplitz(col), 1.0, 1e8)
+    assert not matfun._pole_sum_route(log_spec(), wide, "pfd", 20)
+    assert matfun._pole_sum_route(log_spec(), wide, "pfd", 4)
+
+
+@pytest.mark.parametrize("driver, f, kappa, scaling, tol", [
+    (lambda a: log_via_scaling(a, "barycentric"), np.log, 1e4, (2, 0, None), 1e-7),
+    (lambda a: frac_power(a, 0.3, "barycentric"), lambda w: w ** 0.3, 1e4, (2, 2, -0.8), 1e-8),
+    (lambda a: frac_power(a, 1.5), lambda w: w ** 1.5, 1e4, (2, 6, 0.0), 1e-8),
+    (lambda a: frac_power(a, -1.5), lambda w: w ** -1.5, 1e4, (2, -6, 0.0), 1e-8),
+    (log_via_scaling, np.log, 1e8, (3, 0, None), 1e-6)],
+    ids=["log-barycentric", "power-0.3-barycentric", "power-1.5", "power-minus-1.5",
+         "log-wide"])
+def test_tagged_arguments_off_the_pole_sum_route_keep_the_square_roots(driver, f, kappa,
+                                                                       scaling, tol):
+    # at ell = 0 these would fit r over the whole [1, kappa] and multiply, or
+    # stop early: barycentric log read 4.4e-2, A^1.5 1.8e-6, and pfd log on
+    # [1, 1e8] 2.3e-5 (its fit stops at m = 11), against 1.8e-8, 4.1e-10 and
+    # 2.9e-7 with square roots
+    t = gen_random_spd_toeplitz(128, 1.0, kappa, 0)
+    res = driver(tl_arg(t, 1.0, kappa))
+    assert res.scaling[:2] == scaling[:2]
+    assert res.scaling[2] == pytest.approx(scaling[2], abs=1e-12)
+    w, v = np.linalg.eigh(scipy.linalg.toeplitz(t.toeplitz))
+    want = (v * f(w)) @ v.T
+    err = np.linalg.norm(to_dense(res.approximation.data) - want, 2) / np.linalg.norm(want, 2)
+    assert err <= tol, err
 
 
 @pytest.mark.parametrize("driver", [log_via_scaling, lambda a: frac_power(a, -0.7)],

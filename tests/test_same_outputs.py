@@ -62,5 +62,12 @@ def test_compare_prints_each_operation_and_a_summary(tool, capsys):
         "dense seed 1 op 3 op3: bitwise, history from m = 3",
         "dense: bitwise 1, history tail 1, same flags 1, same error 1, differs 0, "
         "max |delta digits| 5.00e-01"]
+    assert not tool.compare(parent[:2], records(_record(error="SingularMatrix: x"),
+                                                _record(m=2, digits=6.5)))
+    assert capsys.readouterr().out.splitlines() == [
+        "dense seed 1 op 0 op0: differs",
+        "dense seed 1 op 1 op1: differs: m 3 -> 2, ell 1 -> 1, digits 8.00 -> 6.50",
+        "dense: bitwise 0, history tail 0, same flags 0, same error 0, differs 2, "
+        "max |delta digits| 0.00e+00"]
     assert not tool.compare(parent, records(_record(), _record(m=2), _record()))
     assert not tool.compare(parent, parent[:2])

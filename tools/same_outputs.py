@@ -18,7 +18,9 @@ against the eigh oracles of ``perfbench/workloads``.  Nothing under
                     returned degree, scaling and per-degree accept flags
                     agree, and the checked digits differ by x
     same error      both checkouts raise the same error
-    differs         anything else
+    differs         anything else; when neither checkout raised, followed
+                    by the returned degree, scaling and checked digits as
+                    parent -> change (degree and digits only for a scan)
 
 A summary per workload follows.  The exit status is 1 if any operation
 differs, else 0.
@@ -121,6 +123,14 @@ def verdict(a: dict, b: dict) -> tuple[str, float | None]:
     return "differs", None
 
 
+def _changes(a: dict, b: dict) -> str:
+    """'m x -> y, ell x -> y, digits x -> y' for two records that both
+    returned; a scan's m is the largest degree of its rows."""
+    keys = ("m", "ell") if "ell" in a["out"] else ("m",)
+    parts = [f"{k} {np.max(a['out'][k]):g} -> {np.max(b['out'][k]):g}" for k in keys]
+    return ", ".join(parts + [f"digits {a['digits']:.2f} -> {b['digits']:.2f}"])
+
+
 def compare(parent: list[dict], change: list[dict]) -> bool:
     """Print one line per operation and a summary per workload; True when
     no operation differs."""
@@ -136,6 +146,8 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
             text = f"same m/ell/accept flags, |delta digits| = {delta:.2e}"
         elif kind == "history tail":
             text = f"bitwise, history from m = {b['out']['history'][0, 0]:g}"
+        elif kind == "differs" and not (a["error"] or b["error"]):
+            text = f"differs: {_changes(a, b)}"
         print(f"{a['workload']} seed {a['seed']} op {a['index']} {a['label']}: {text}")
         counts.setdefault(a["workload"], dict.fromkeys(VERDICTS, 0))[kind] += 1
         worst[a["workload"]] = max(worst.get(a["workload"], 0.0), delta or 0.0)
