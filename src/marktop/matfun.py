@@ -7,7 +7,8 @@ worst-case residual (an exact norm on dense and diagonal arguments, a
 Lanczos estimate on Toeplitz-like ones), automatic degree selection with
 the stop-one-before rule, the scaled Denman-Beavers Newton square root, and
 the drivers for the logarithm and fractional powers: inverse scaling and
-squaring, or on a tagged Toeplitz argument a shifted pole sum.
+squaring, whose square roots the pole-sum route and an integral exponent
+skip.  A partial-fraction log(A) is always a shifted pole sum.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ class MatFunResult:
     """approximation holds f(A) with the argument's own [c, d], not bounds
     of the spectrum of f(A).  scaling is set by the two drivers: (ell, k,
     gamma') for A^gamma = r(A_ell) A_ell^k, (ell, 0, None) for the logarithm,
-    with ell = 0 on the _pole_sum_route."""
+    with ell = 0 on the _pole_sum_route and for an integral gamma."""
 
     approximation: MatArg
     m: int
@@ -483,7 +484,7 @@ def _scaled_root(a: MatArg) -> tuple[int, MatArg]:
 
 
 def _pole_sum_route(spec: MarkovSpec, a: MatArg, rep: str, m_max: int) -> bool:
-    """Whether a driver keeps ell = 0 and returns f(A) as a shifted pole sum:
+    """Whether a driver keeps ell = 0, which is all the route decides:
     A is a tagged Toeplitz argument, whose square root would be untagged and
     densify every later inverse, r is a partial fraction, and its fit on
     A's own [c, d] forms at auto_degree's start degree.  On a wide [c, d]
@@ -501,10 +502,12 @@ def _pole_sum_route(spec: MarkovSpec, a: MatArg, rep: str, m_max: int) -> bool:
     return True
 
 
-def _shifted_pole_sum(r: PartialFraction, a: MatArg, s: float):
-    """(A - sI) r(A) for r = sum a_j/(z - x_j) without a matrix product, from
+def _times_shift(r, a: MatArg, s: float):
+    """(A - sI) r(A).  For r = sum a_j/(z - x_j) this is the pole sum from
     (z - s) r(z) = sum a_j + sum a_j (x_j - s)/(z - x_j): m shifted inverses
-    and one shift."""
+    and one shift, no matrix product; any other r takes the product."""
+    if not isinstance(r, PartialFraction):
+        return a.ops.mul(a.ops.shift(a.data, s), eval_rational_at_matrix(r, a))
     q = replace(r, residuals=tuple(np.multiply(r.residuals, np.subtract(r.poles, s))))
     return a.ops.shift(eval_rational_at_matrix(q, a), -math.fsum(r.residuals))
 
@@ -524,20 +527,13 @@ def _times_power(ops: Ops, out, x, k: int):
 
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
     """log(A) = 2^ell log(A^(1/2^ell)) with the inner log through the
-    Markov function log(z)/(z-1): log(B) = (B - I) r_m(B).  On the
-    _pole_sum_route, ell = 0 and log(A) is the shifted pole sum of r with
-    s = 1, no product."""
+    Markov function log(z)/(z-1): log(B) = (B - I) r_m(B), a pole sum when
+    r is a partial fraction.  ell = 0 on the _pole_sum_route."""
     spec = log_spec()
-    pole_sum = _pole_sum_route(spec, a, rep, m_max)
-    ell, a_ell = (0, a) if pole_sum else _scaled_root(a)
+    ell, a_ell = (0, a) if _pole_sum_route(spec, a, rep, m_max) else _scaled_root(a)
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
     fit = _accepted_fit(spec, a_ell, g, rep, m_max)
-    ops = a.ops
-    if pole_sum:
-        out = _shifted_pole_sum(fit.r, a_ell, 1.0)
-    else:
-        out = ops.scale(ops.mul(ops.shift(a_ell.data, 1.0),
-                                eval_rational_at_matrix(fit.r, a_ell)), float(2 ** ell))
+    out = a.ops.scale(_times_shift(fit.r, a_ell, 1.0), 2.0 ** ell)
     return MatFunResult(replace(a, data=out), fit.m, fit.history, fit.not_triggered,
                         scaling=(ell, 0, None))
 
@@ -548,20 +544,20 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     with k integer and g' in [-1, 0), then A^gamma = r(A_ell) A_ell^k where
     r approximates z^g' and A_ell = A^(1/2^ell).  For |gamma| < 1 on the
     _pole_sum_route, ell = 0: k = 0 returns the pole sum r(A) itself, and
-    k = 1 the shifted pole sum A r(A) with s = 0, no product.  For gamma = 1
-    with ell = 0 the result holds the argument's own data object, not a
-    copy."""
+    k = 1 the shifted pole sum A r(A) with s = 0, no product.  Off the
+    route k = 1 keeps the product, since for g' near 0 the pole sum's
+    constant sum a_j is large and cancels.  Any integral gamma takes ell = 0
+    and no interpolant; gamma = 1 returns the argument's own data object."""
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     if abs(gamma) * max(abs(math.log(a.c)), abs(math.log(a.d))) > _LOG_MAX:
         raise InvalidInterval(f"power exponent {gamma} takes [{a.c}, {a.d}] "
                               "beyond the float range")
-    ops = a.ops
     # at ell = 0, gamma in (0, 1) has k = 1 and gamma in (-1, 0) k = 0
     pole_sum = (0.0 < abs(gamma) < 1.0
                 and _pole_sum_route(power_spec(gamma - (gamma > 0)), a, rep, m_max))
-    # A^0 = I takes the integral branch below without a square root
-    ell, a_ell = (0, a) if pole_sum or gamma == 0.0 else _scaled_root(a)
+    # an integral gamma takes the integral branch below without a square root
+    ell, a_ell = (0, a) if pole_sum or gamma == int(gamma) else _scaled_root(a)
     gp_total = 2 ** ell * gamma
     if gp_total == int(gp_total):
         # 2^ell gamma integral: plain integer power, no interpolant needed
@@ -574,9 +570,9 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
         g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
         fit = _accepted_fit(spec, a_ell, g, rep, m_max)
     if pole_sum and k == 1:
-        out = _shifted_pole_sum(fit.r, a_ell, 0.0)
+        out = _times_shift(fit.r, a_ell, 0.0)
     else:
         r = None if fit.r is None else eval_rational_at_matrix(fit.r, a_ell)
-        out = _times_power(ops, r, a_ell.data, k)
+        out = _times_power(a.ops, r, a_ell.data, k)
     return MatFunResult(replace(a, data=out), fit.m, fit.history, fit.not_triggered,
                         scaling=(ell, k, gp))

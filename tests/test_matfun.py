@@ -745,7 +745,7 @@ def test_frac_power_gamma_zero():
 
 
 def test_frac_power_integral_exponent_is_not_multiplied_by_identity():
-    # d/c <= 10 gives ell = 0, so gamma = 1 returns A itself, still tagged
+    # an integral gamma gives ell = 0, so gamma = 1 returns A itself, still tagged
     col = spd_toeplitz_col(32, 44)
     a = tl_arg(from_toeplitz(col), 2.0, 6.0)
     res = frac_power(a, 1.0)
@@ -801,6 +801,25 @@ def test_frac_power_large_integral_exponent_by_squaring():
         np.testing.assert_allclose(got, want, rtol=1e9 * np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0])
+@pytest.mark.parametrize("kind", ["tl", "dense", "diagonal"])
+def test_frac_power_integral_exponent_takes_no_square_root(kind, gamma):
+    # an integral gamma needs no interpolant, so ell = 0: three square roots
+    # and three squarings read 8.6e-8 for A^1 and 1.7e-7 for A^2 at kappa = 1e6
+    t = gen_random_spd_toeplitz(256, 1.0, 1e6, 0)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    w, v = np.linalg.eigh(dense)
+    a = {"tl": tl_arg(t, w[0], w[-1]), "dense": dense_arg(dense, w[0], w[-1]),
+         "diagonal": diag_arg(w)}[kind]
+    res = frac_power(a, gamma)
+    assert res.scaling == (0, gamma, 0.0)
+    want = (v * w ** gamma) @ v.T if kind != "diagonal" else np.diag(w ** gamma)
+    err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2) / np.linalg.norm(want, 2)
+    assert err <= 1e-9, err
+    if gamma == 1.0:
+        assert res.approximation.data is a.data
+
+
 # ----------------------------------------------- tagged Toeplitz arguments
 
 _TAGGED_CASES = {"log": (log_via_scaling, log_spec(), np.log),
@@ -832,15 +851,48 @@ def test_tagged_drivers_stay_tagged(case, kappa, levinson_calls, dense_calls):
     assert err <= (1e-11 if kappa <= 1e4 else 1e-9), err
 
 
+@pytest.mark.parametrize("gamma, bound", [(0.97, 1e-3), (-0.03, 1e-6)])
+def test_tagged_power_near_an_integer_stops_at_the_compress_floor(gamma, bound):
+    # a documented limit: on the pole-sum route A^0.97 and A^-0.03 at
+    # kappa = 1e4 read 7.9e-5 and 8.2e-8 (m = 18), against 2.3e-10 and
+    # 8.5e-11 with square roots on the same matrix untagged.  The fit of
+    # z^-0.03 has residuals up to 5e6 for a result of norm about 1, and
+    # compress's floor is relative to the stacked panels of that sum, not
+    # to its displacement (ROADMAP item 14): the same fit's pole sum reads
+    # 5.5e-13 and 4.8e-14 in dense arithmetic, and a floor relative to the
+    # displacement gives 2.7e-11 and 7.0e-14 on the route
+    t = gen_random_spd_toeplitz(256, 1.0, 1e4, 0)
+    res = frac_power(tl_arg(t, 1.0, 1e4), gamma)
+    assert res.scaling[0] == 0
+    w, v = np.linalg.eigh(scipy.linalg.toeplitz(t.toeplitz))
+    want = (v * w ** gamma) @ v.T
+    err = np.linalg.norm(to_dense(res.approximation.data) - want, 2) / np.linalg.norm(want, 2)
+    assert err <= bound, err
+
+
 @pytest.mark.parametrize("spec, s", [(log_spec(), 1.0), (power_spec(-0.7), 0.0)],
                          ids=["log", "power"])
 def test_shifted_pole_sum_is_the_product(spec, s):
-    lam = np.linspace(1.0, 100.0, 50)
+    # (A - sI) r(A) on diagonal, dense and untagged Toeplitz-like data: a pfd
+    # r gives the pole sum, equal to the scalar oracle (w - s) r(w) on the
+    # spectrum; a barycentric or Thiele r gives the product itself
+    col = gen_random_spd_toeplitz(32, 1.0, 100.0, 0).toeplitz
+    dense = scipy.linalg.toeplitz(col)
+    w, v = np.linalg.eigh(dense)
+    untagged = dataclasses.replace(from_toeplitz(col), toeplitz=None)
     g = build_geometry(spec.alpha, spec.beta, 1.0, 100.0)
-    r = fit_interpolant(spec, optimal_nodes(g, 8), "pfd", interval=(spec.alpha, spec.beta))
-    want = (lam - s) * r(lam)
-    got = matfun._shifted_pole_sum(r, diag_arg(lam), s)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for rep in ("pfd", "barycentric", "thiele"):
+        r = fit_interpolant(spec, optimal_nodes(g, 8), rep, interval=(spec.alpha, spec.beta))
+        for data, tol in ((w, 1e-13), (dense, 1e-12), (untagged, 1e-12)):
+            a = MatArg(data, w[0], w[-1])
+            got = a.ops.to_dense(matfun._times_shift(r, a, s))
+            if rep != "pfd":
+                product = a.ops.mul(a.ops.shift(data, s), eval_rational_at_matrix(r, a))
+                assert np.array_equal(got, a.ops.to_dense(product)), (rep, type(data))
+                continue
+            want = (v * ((w - s) * r(w))) @ v.T if data is not w else np.diag((w - s) * r(w))
+            err = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+            assert err <= tol, (type(data), err)
 
 
 def test_pole_sum_route_needs_tagged_data_and_a_pfd_fit_at_the_start_degree():
