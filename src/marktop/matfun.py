@@ -40,9 +40,9 @@ _LOG_MAX = math.log(np.finfo(float).max)
 class MatArg:
     """Matrix argument with spectral bounds c <= lambda_min, lambda_max <= d.
 
-    The data picks the arithmetic ``ops``: a TLMatrix is Toeplitz-like, a
-    2-D ndarray a dense symmetric matrix, a 1-D ndarray the eigenvalues of
-    a diagonal matrix.
+    The data picks the arithmetic ``ops``: for a TLMatrix the tlalgebra module,
+    whose functions are looked up at each call, so wrappers installed later
+    apply; _DENSE for a 2-D ndarray, _DIAGONAL for a 1-D one (eigenvalues).
     """
 
     data: object
@@ -57,9 +57,9 @@ class MatArg:
             raise DimensionError(f"need 0 < c <= d, got [{self.c}, {self.d}]")
 
     @property
-    def ops(self) -> Ops:
+    def ops(self):
         if isinstance(self.data, tl.TLMatrix):
-            return _TL
+            return tl
         if isinstance(self.data, np.ndarray) and self.data.ndim in (1, 2):
             return _DIAGONAL if self.data.ndim == 1 else _DENSE
         raise DimensionError("MatArg needs a TLMatrix or a 1-D or 2-D ndarray, got "
@@ -67,7 +67,7 @@ class MatArg:
 
     @property
     def n(self) -> int:
-        return self.ops.n(self.data)
+        return len(self.data)
 
 
 def _checked_array(x, ndim: int, what: str) -> np.ndarray:
@@ -106,18 +106,16 @@ def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
 # ---------------------------------------------------------------------------
 
 class Ops(NamedTuple):
-    """The matrix operations the drivers need, on one kind's data.  Norms are
-    of operators applied, never formed: exact, or from below by Lanczos for tl."""
+    """Dense or diagonal arithmetic under the names of tlalgebra, which serves
+    Toeplitz-like data.  Norms of applied operators: exact here, from below there."""
 
-    n: Callable         # x -> size
-    identity: Callable  # n -> I
     shift: Callable     # (x, z) -> x - z I
     scale: Callable     # (x, alpha) -> alpha x
     add: Callable       # (x, y) -> x + y
-    mul: Callable       # (x, y) -> x y
-    inv: Callable       # x -> x^{-1}
-    apply: Callable     # (x, v) -> x v
-    norm: Callable      # (f, n) -> ||f||_2 of a symmetric operator f
+    multiply: Callable  # (x, y) -> x y
+    invert: Callable    # x -> x^{-1}
+    matvec: Callable    # (x, v) -> x v
+    norm_est: Callable  # (f, n) -> ||f||_2 of a symmetric operator f
     to_dense: Callable  # x -> ndarray
 
 
@@ -150,42 +148,23 @@ def _dense_inv(x):
     return out
 
 
-_DENSE = Ops(n=len, identity=np.eye,
-             shift=lambda x, z: x - z * np.eye(len(x)),
+_DENSE = Ops(shift=lambda x, z: x - z * np.eye(len(x)),
              scale=lambda x, alpha: alpha * x,
              add=lambda x, y: x + y,
-             mul=lambda x, y: x @ y,
-             inv=_dense_inv,
-             apply=lambda x, v: x @ v,
-             norm=lambda f, n: spectral_norm(f(np.eye(n))),
+             multiply=lambda x, y: x @ y,
+             invert=_dense_inv,
+             matvec=lambda x, v: x @ v,
+             norm_est=lambda f, n: spectral_norm(f(np.eye(n))),
              to_dense=lambda x: x)
 
-# the tl entries look tlalgebra's functions up at call time, so wrappers
-# installed on the module after import take effect
-_TL = Ops(n=lambda x: x.n,
-          identity=lambda n: tl.identity_tl(n),
-          shift=lambda x, z: tl.shift(x, z),
-          scale=lambda x, alpha: tl.scale(x, alpha),
-          add=lambda x, y: tl.add(x, y),
-          mul=lambda x, y: tl.multiply(x, y),
-          inv=lambda x: tl.invert(x),
-          apply=lambda x, v: tl.matvec(x, v),
-          norm=lambda f, n: tl.norm_est(f, n),
-          to_dense=lambda x: tl.to_dense(x))
-
-_DIAGONAL = Ops(n=len, identity=np.ones,
-                shift=lambda x, z: x - z,
+_DIAGONAL = Ops(shift=lambda x, z: x - z,
                 scale=lambda x, alpha: alpha * x,
                 add=lambda x, y: x + y,
-                mul=lambda x, y: x * y,
-                inv=lambda x: 1.0 / x,
-                apply=lambda x, v: x * v,
-                norm=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
+                multiply=lambda x, y: x * y,
+                invert=lambda x: 1.0 / x,
+                matvec=lambda x, v: x * v,
+                norm_est=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
                 to_dense=np.diag)
-
-
-def mat_to_dense(a: MatArg) -> np.ndarray:
-    return a.ops.to_dense(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +191,7 @@ def eval_rational_at_matrix(r, a: MatArg):
         return np.asarray(r(a.data), dtype=float)
     ops = a.ops
     if isinstance(r, PartialFraction):
-        terms = (ops.scale(ops.inv(ops.shift(a.data, x)), res)
+        terms = (ops.scale(ops.invert(ops.shift(a.data, x)), res)
                  for x, res in zip(r.poles, r.residuals))
         return functools.reduce(ops.add, terms)
     # the shift-built levels below start from two nodes
@@ -223,8 +202,8 @@ def eval_rational_at_matrix(r, a: MatArg):
         p, zt = r.params, r.nodes
         out = ops.shift(ops.scale(ops.shift(a.data, zt[len(p) - 2]), 1.0 / p[-1]), -p[-2])
         for j in range(len(p) - 3, -1, -1):
-            out = ops.shift(ops.mul(ops.shift(a.data, zt[j]), ops.inv(out)), -p[j])
-        return ops.inv(out)
+            out = ops.shift(ops.multiply(ops.shift(a.data, zt[j]), ops.invert(out)), -p[j])
+        return ops.invert(out)
     # barycentric: running sums S_j = S_{j-1} (A - t_j I) + c_j prod_{k<j} (A - t_k I)
     # started at S_1, give sum_j c_j prod_{k != j} (A - t_k I), c_j = f_j w_j and w_j
     t, w, fw = r.support, r.weights, np.multiply(r.values, r.weights)
@@ -232,15 +211,15 @@ def eval_rational_at_matrix(r, a: MatArg):
     num = ops.add(ops.scale(s, fw[0]), ops.scale(lead, fw[1]))
     den = ops.add(ops.scale(s, w[0]), ops.scale(lead, w[1]))
     for j in range(2, len(t)):
-        lead, s = ops.mul(lead, s), ops.shift(a.data, t[j])
-        num = ops.add(ops.mul(num, s), ops.scale(lead, fw[j]))
-        den = ops.add(ops.mul(den, s), ops.scale(lead, w[j]))
-    return ops.mul(num, ops.inv(den))
+        lead, s = ops.multiply(lead, s), ops.shift(a.data, t[j])
+        num = ops.add(ops.multiply(num, s), ops.scale(lead, fw[j]))
+        den = ops.add(ops.multiply(den, s), ops.scale(lead, w[j]))
+    return ops.multiply(num, ops.invert(den))
 
 
 def _deviation(a: MatArg, apply) -> float:
     """|| I - X || for the symmetric operator apply: v -> X v."""
-    return a.ops.norm(lambda v: v - apply(v), a.n)
+    return a.ops.norm_est(lambda v: v - apply(v), a.n)
 
 
 def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
@@ -254,10 +233,10 @@ def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
     scale = 1.0 if math.isinf(g.alpha) else 1.0 / abs(g.alpha)
 
     def rwr(v):
-        v = ops.apply(r, v)
+        v = ops.matvec(r, v)
         for z in shifts:
-            v = ops.apply(a.data, v) - z * v
-        return ops.apply(r, scale * v)
+            v = ops.matvec(a.data, v) - z * v
+        return ops.matvec(r, scale * v)
 
     return _deviation(a, rwr)
 
@@ -267,17 +246,15 @@ def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp.  The factor
     covers the quotient's distortion by r_mp; the added delta is r_mp's own
     relative error, which the quotient cannot see."""
-    nodes_m = tuple(r_m.nodes)
-    nodes_mp = tuple(r_mp.nodes)
-    if len(nodes_mp) <= len(nodes_m):
+    if len(r_mp.nodes) <= len(r_m.nodes):
         raise BoundInvalid("reference interpolant must use strictly more nodes")
-    delta = relative_error_bound(g, nodes_mp)
+    delta = relative_error_bound(g, r_mp.nodes)
     if delta >= 1.0:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
     em = eval_rational_at_matrix(r_m, a)
-    emp_inv = a.ops.inv(eval_rational_at_matrix(r_mp, a))
+    emp_inv = a.ops.invert(eval_rational_at_matrix(r_mp, a))
     return (1.0 + delta) / (1.0 - delta) * _deviation(
-        a, lambda v: a.ops.apply(em, a.ops.apply(emp_inv, v))) + delta
+        a, lambda v: a.ops.matvec(em, a.ops.matvec(emp_inv, v))) + delta
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +326,17 @@ class MatFunResult:
     scaling: tuple | None = None
 
 
+def _check_m_max(m_max):
+    """Raise InvalidInterval unless m_max is an integer >= 1."""
+    if not isinstance(m_max, (int, np.integer)) or m_max < 1:
+        raise InvalidInterval(f"degrees must be >= 1 and integers, got m_max = {m_max!r}")
+
+
 def _start_degree(g: Geometry, rep: str, n: int, m_max: int) -> int:
     """The largest m <= m_max whose a priori bound is at least 1e3 n eps, or
     is not yet valid; 1 if there is none, and always 1 for a representation
     other than pfd, which stalls far above that floor on matrix arguments."""
-    if not isinstance(m_max, (int, np.integer)):
-        raise InvalidInterval(f"degrees must be integers, got m_max = {m_max!r}")
+    _check_m_max(m_max)
     m0 = 1
     if rep == "pfd":
         for m in range(2, m_max + 1):
@@ -451,12 +433,12 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
             mu = 1.0
         mus.append(mu)
         # M <- I/2 + (mu^2 M + M^-1/mu^2)/4, X <- (I + M^-1/mu^2) mu X/2
-        minv = ops.inv(m)
+        minv = ops.invert(m)
         m = ops.shift(ops.add(ops.scale(m, mu * mu / 4.0),
                               ops.scale(minv, 1.0 / (4.0 * mu * mu))), -0.5)
-        x = ops.mul(ops.shift(ops.scale(minv, 1.0 / (mu * mu)), -1.0),
-                    ops.scale(x, mu / 2.0))
-        res = _deviation(b, lambda v: ops.apply(m, v))
+        x = ops.multiply(ops.shift(ops.scale(minv, 1.0 / (mu * mu)), -1.0),
+                         ops.scale(x, mu / 2.0))
+        res = _deviation(b, lambda v: ops.matvec(m, v))
         residuals.append(res)
         if res <= tol:
             return SqrtResult(replace(b, data=x, c=math.sqrt(c), d=math.sqrt(d)),
@@ -507,28 +489,30 @@ def _times_shift(r, a: MatArg, s: float):
     (z - s) r(z) = sum a_j + sum a_j (x_j - s)/(z - x_j): m shifted inverses
     and one shift, no matrix product; any other r takes the product."""
     if not isinstance(r, PartialFraction):
-        return a.ops.mul(a.ops.shift(a.data, s), eval_rational_at_matrix(r, a))
+        return a.ops.multiply(a.ops.shift(a.data, s), eval_rational_at_matrix(r, a))
     q = replace(r, residuals=tuple(np.multiply(r.residuals, np.subtract(r.poles, s))))
     return a.ops.shift(eval_rational_at_matrix(q, a), -math.fsum(r.residuals))
 
 
-def _times_power(ops: Ops, out, x, k: int):
+def _times_power(ops, out, x, k: int):
     """out x^k by repeated squaring, O(log |k|) products, with one inverse
-    when k < 0; out = None stands for I, formed only for x^0."""
-    base, k = (x, k) if k >= 0 else (ops.inv(x), -k)
+    when k < 0; out = None stands for I, formed only for x^0 and as
+    shift(scale(x, 0), -1): exactly I on every kind, and tagged if x is."""
+    base, k = (x, k) if k >= 0 else (ops.invert(x), -k)
     while k:
         if k & 1:
-            out = base if out is None else ops.mul(out, base)
+            out = base if out is None else ops.multiply(out, base)
         k >>= 1
         if k:
-            base = ops.mul(base, base)
-    return ops.identity(ops.n(x)) if out is None else out
+            base = ops.multiply(base, base)
+    return ops.shift(ops.scale(x, 0.0), -1.0) if out is None else out
 
 
 def log_via_scaling(a: MatArg, rep: str = "pfd", m_max: int = 20) -> MatFunResult:
     """log(A) = 2^ell log(A^(1/2^ell)) with the inner log through the
     Markov function log(z)/(z-1): log(B) = (B - I) r_m(B), a pole sum when
     r is a partial fraction.  ell = 0 on the _pole_sum_route."""
+    _check_m_max(m_max)
     spec = log_spec()
     ell, a_ell = (0, a) if _pole_sum_route(spec, a, rep, m_max) else _scaled_root(a)
     g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
@@ -546,8 +530,10 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     _pole_sum_route, ell = 0: k = 0 returns the pole sum r(A) itself, and
     k = 1 the shifted pole sum A r(A) with s = 0, no product.  Off the
     route k = 1 keeps the product, since for g' near 0 the pole sum's
-    constant sum a_j is large and cancels.  Any integral gamma takes ell = 0
-    and no interpolant; gamma = 1 returns the argument's own data object."""
+    constant sum a_j is large and cancels.  Any integral gamma takes ell = 0,
+    and an integral 2^ell gamma returns A_ell^k before any fit, with m = 0;
+    gamma = 1 returns the argument's own data object."""
+    _check_m_max(m_max)
     if not math.isfinite(gamma):
         raise InvalidInterval(f"power exponent must be finite, got {gamma}")
     if abs(gamma) * max(abs(math.log(a.c)), abs(math.log(a.d))) > _LOG_MAX:
@@ -556,23 +542,18 @@ def frac_power(a: MatArg, gamma: float, rep: str = "pfd",
     # at ell = 0, gamma in (0, 1) has k = 1 and gamma in (-1, 0) k = 0
     pole_sum = (0.0 < abs(gamma) < 1.0
                 and _pole_sum_route(power_spec(gamma - (gamma > 0)), a, rep, m_max))
-    # an integral gamma takes the integral branch below without a square root
     ell, a_ell = (0, a) if pole_sum or gamma == int(gamma) else _scaled_root(a)
-    gp_total = 2 ** ell * gamma
-    if gp_total == int(gp_total):
-        # 2^ell gamma integral: plain integer power, no interpolant needed
-        k, gp = int(gp_total), 0.0
-        fit = _Fit(None, 0, (), False)
-    else:
-        k = math.floor(gp_total) + 1
-        gp = gp_total - k
-        spec = power_spec(gp)
-        g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
-        fit = _accepted_fit(spec, a_ell, g, rep, m_max)
+    k = math.ceil(2 ** ell * gamma)
+    gp = 2 ** ell * gamma - k
+    if gp == 0.0:
+        return MatFunResult(replace(a, data=_times_power(a.ops, None, a_ell.data, k)),
+                            0, (), scaling=(ell, k, gp))
+    spec = power_spec(gp)
+    g = build_geometry(spec.alpha, spec.beta, a_ell.c, a_ell.d)
+    fit = _accepted_fit(spec, a_ell, g, rep, m_max)
     if pole_sum and k == 1:
         out = _times_shift(fit.r, a_ell, 0.0)
     else:
-        r = None if fit.r is None else eval_rational_at_matrix(fit.r, a_ell)
-        out = _times_power(a.ops, r, a_ell.data, k)
+        out = _times_power(a.ops, eval_rational_at_matrix(fit.r, a_ell), a_ell.data, k)
     return MatFunResult(replace(a, data=out), fit.m, fit.history, fit.not_triggered,
                         scaling=(ell, k, gp))

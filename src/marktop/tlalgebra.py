@@ -112,6 +112,9 @@ class TLMatrix:
             raise DimensionError(
                 f"generator shapes {self.G.shape}/{self.B.shape} for n={self.n}")
 
+    def __len__(self) -> int:
+        return self.n
+
     @property
     def width(self) -> int:
         return self.G.shape[1]

@@ -17,7 +17,7 @@ from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionErro
 from marktop import matfun
 from marktop.experiments import (ExperimentConfig, dense_f_oracle,
                                  gen_random_spd_toeplitz, run_experiment)
-from marktop.matfun import degree_sweep, mat_to_dense, spectral_norm
+from marktop.matfun import degree_sweep, spectral_norm
 from marktop.tlalgebra import to_dense
 
 INF = float("inf")
@@ -293,8 +293,8 @@ def test_auto_degree_tl_reaches_dense_accuracy():
     g = build_geometry(spec.alpha, spec.beta, eigs[0], eigs[-1])
     res = auto_degree(spec, tl_arg(t, eigs[0], eigs[-1]), g, "pfd", 12)
     oracle = dense_f_oracle(spec, dense)
-    err = np.linalg.norm(mat_to_dense(res.approximation) - oracle, 2) \
-        / np.linalg.norm(oracle, 2)
+    x = res.approximation
+    err = np.linalg.norm(x.ops.to_dense(x.data) - oracle, 2) / np.linalg.norm(oracle, 2)
     assert res.m >= 7
     assert err <= 1e-13
 
@@ -312,8 +312,8 @@ def test_auto_degree_tl_pfd_as_accurate_as_dense(kappa):
     oracle = dense_f_oracle(spec, dense)
     errs = []
     for arg in (tl_arg(t, eigs[0], eigs[-1]), dense_arg(dense, eigs[0], eigs[-1])):
-        res = auto_degree(spec, arg, g, "pfd", 30)
-        errs.append(np.linalg.norm(mat_to_dense(res.approximation) - oracle, 2)
+        x = auto_degree(spec, arg, g, "pfd", 30).approximation
+        errs.append(np.linalg.norm(x.ops.to_dense(x.data) - oracle, 2)
                     / np.linalg.norm(oracle, 2))
     assert errs[0] <= 10.0 * errs[1]
 
@@ -359,7 +359,7 @@ def test_only_pfd_accurate_at_matrix_arguments():
         for kind in kinds:
             a, ref = args[kind]
             res = auto_degree(spec, a, g, rep)
-            approx = mat_to_dense(res.approximation)
+            approx = a.ops.to_dense(res.approximation.data)
             err[rep, kind] = np.linalg.norm(approx - ref, 2) / np.linalg.norm(ref, 2)
             if rep == "pfd":
                 assert err[rep, kind] <= apriori_bound(g, res.m) + allowance, kind
@@ -493,6 +493,44 @@ def test_degrees_below_1_rejected(run):
     g = build_geometry(-INF, 0.0, a.c, a.d)
     with pytest.raises(InvalidInterval, match="degrees must be >= 1"):
         run(a, g)
+
+
+_M_MAX_DRIVERS = {"log": lambda a, m_max: log_via_scaling(a, "pfd", m_max),
+                  "power-minus-0.7": lambda a, m_max: frac_power(a, -0.7, "pfd", m_max),
+                  "power-2": lambda a, m_max: frac_power(a, 2.0, "pfd", m_max)}
+
+
+@pytest.mark.parametrize("m_max", [0, 20.0, 7.5])
+@pytest.mark.parametrize("kind", ["tl", "dense"])
+@pytest.mark.parametrize("driver", list(_M_MAX_DRIVERS))
+def test_drivers_check_m_max_before_any_square_root(driver, kind, m_max, dense_calls,
+                                                     monkeypatch):
+    # the check comes first: no Newton root and no densification before it,
+    # also for an integral exponent, which fits nothing
+    roots = []
+    monkeypatch.setattr(matfun, "sqrt_db_newton", roots.append)
+    t = gen_random_spd_toeplitz(64, 1.0, 1e4, 0)
+    a = (tl_arg(t, 1.0, 1e4) if kind == "tl"
+         else dense_arg(scipy.linalg.toeplitz(t.toeplitz), 1.0, 1e4))
+    with pytest.raises(InvalidInterval, match="degrees must be >= 1 and integers"):
+        _M_MAX_DRIVERS[driver](a, m_max)
+    assert roots == [] and dense_calls == []
+
+
+def test_tl_arithmetic_is_the_tlalgebra_module(monkeypatch):
+    # perfbench and the fixtures wrap tlalgebra's functions by name after
+    # import, so matfun must look them up on the module at call time
+    from marktop import tlalgebra
+    a = _kind_args()["tl"]
+    assert a.ops is tlalgebra
+    calls = {}
+    for name in ("matvec", "invert", "norm_est"):
+        def counting(*args, _name=name, _fn=getattr(tlalgebra, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(tlalgebra, name, counting)
+    auto_degree(inv_sqrt_spec(), a, build_geometry(-INF, 0.0, a.c, a.d), "pfd", 6)
+    assert sorted(calls) == ["invert", "matvec", "norm_est"], calls
 
 
 def test_degree_sweep_rejects_unknown_representation_before_fitting(monkeypatch):
@@ -739,9 +777,17 @@ def test_log_dense_oracle_with_scaling():
 # ------------------------------------------------------------------ frac_power
 
 def test_frac_power_gamma_zero():
-    a = dense_arg(3.0 * np.eye(4), 3.0, 3.0)
-    res = frac_power(a, 0.0)
-    assert np.array_equal(mat_to_dense(res.approximation), np.eye(4))
+    # A^0 is shift(scale(A, 0), -1): exactly I on every kind, tagged where A
+    # is, and an untagged generator of I where A is untagged
+    t = gen_random_spd_toeplitz(16, 1.0, 1e2, 0)
+    w = np.linalg.eigvalsh(to_dense(t))
+    for data, tag in ((t, np.eye(16)[0]), (dataclasses.replace(t, toeplitz=None), None),
+                      (to_dense(t), None), (w, None)):
+        a = MatArg(data, w[0], w[-1])
+        res = frac_power(a, 0.0)
+        assert res.scaling == (0, 0, 0.0) and res.m == 0
+        assert np.array_equal(a.ops.to_dense(res.approximation.data), np.eye(16))
+        assert np.array_equal(getattr(res.approximation.data, "toeplitz", None), tag)
 
 
 def test_frac_power_integral_exponent_is_not_multiplied_by_identity():
@@ -785,7 +831,7 @@ def test_frac_power_tl_argument():
     res = frac_power(tl_arg(from_toeplitz(col), c, d), -1.0 / 3.0)
     w, v = np.linalg.eigh(dense)
     want = v @ np.diag(w ** (-1.0 / 3.0)) @ v.T
-    err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2)
+    err = np.linalg.norm(to_dense(res.approximation.data) - want, 2)
     assert err <= 1e-10 * np.linalg.norm(want, 2)
 
 
@@ -797,7 +843,7 @@ def test_frac_power_large_integral_exponent_by_squaring():
     for a in (diag_arg(lam), dense_arg(np.diag(lam), lam[0], lam[1])):
         res = frac_power(a, 1e9)
         assert res.scaling == (0, 10 ** 9, 0.0)
-        got = np.diag(mat_to_dense(res.approximation))
+        got = np.diag(a.ops.to_dense(res.approximation.data))
         np.testing.assert_allclose(got, want, rtol=1e9 * np.finfo(float).eps)
 
 
@@ -814,7 +860,7 @@ def test_frac_power_integral_exponent_takes_no_square_root(kind, gamma):
     res = frac_power(a, gamma)
     assert res.scaling == (0, gamma, 0.0)
     want = (v * w ** gamma) @ v.T if kind != "diagonal" else np.diag(w ** gamma)
-    err = np.linalg.norm(mat_to_dense(res.approximation) - want, 2) / np.linalg.norm(want, 2)
+    err = np.linalg.norm(a.ops.to_dense(res.approximation.data) - want, 2) / np.linalg.norm(want, 2)
     assert err <= 1e-9, err
     if gamma == 1.0:
         assert res.approximation.data is a.data
@@ -887,7 +933,7 @@ def test_shifted_pole_sum_is_the_product(spec, s):
             a = MatArg(data, w[0], w[-1])
             got = a.ops.to_dense(matfun._times_shift(r, a, s))
             if rep != "pfd":
-                product = a.ops.mul(a.ops.shift(data, s), eval_rational_at_matrix(r, a))
+                product = a.ops.multiply(a.ops.shift(data, s), eval_rational_at_matrix(r, a))
                 assert np.array_equal(got, a.ops.to_dense(product)), (rep, type(data))
                 continue
             want = (v * ((w - s) * r(w))) @ v.T if data is not w else np.diag((w - s) * r(w))
@@ -966,14 +1012,14 @@ def test_spectral_norm_at_rounding_floor_zero_and_nonfinite():
     assert spectral_norm(bad) == INF
     # a nonfinite residual operator reads inf, so its degree is rejected
     ops = dense_arg(np.eye(4), 1.0, 1.0).ops
-    assert ops.norm(lambda v: np.full_like(v, np.nan), 4) == INF
+    assert ops.norm_est(lambda v: np.full_like(v, np.nan), 4) == INF
 
 
 def test_dense_inverse_matches_solve():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((50, 50))
     for m in (x, x + x.T + 20.0 * np.eye(50)):  # nonsymmetric and SPD
-        inv = dense_arg(m, 1.0, 1.0).ops.inv(m)
+        inv = dense_arg(m, 1.0, 1.0).ops.invert(m)
         want = np.linalg.solve(m, np.eye(50))
         assert np.linalg.norm(inv - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
 
