@@ -70,11 +70,8 @@ def _load_matrix(args):
 
 def cmd_matfun(args) -> int:
     spec = _make_spec(args)
-    source = _load_matrix(args)
-    config = ex.ExperimentConfig(spec, source, args.case,
-                                 tuple(args.reps.split(",")),
-                                 args.m_max, not args.no_oracle)
-    rows = ex.run_experiment(config)
+    rows = ex.run_experiment(spec, _load_matrix(args), args.case,
+                             tuple(args.reps.split(",")), args.m_max, not args.no_oracle)
     ex.write_rows(args.output, rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -23,8 +23,6 @@ from .errors import DimensionError
 from .interp import interp_error_scan
 from .markov import MarkovSpec
 
-CSV_HEADER = ["case", "rep", "m", "rel_err", "apriori", "residual",
-              "accepted", "tau", "wall_ms"]
 ORACLE_MAX_N = 1024
 SCAN_GRID_SIZE = 500
 
@@ -70,23 +68,6 @@ def dense_f_oracle(spec: MarkovSpec, a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    spec: MarkovSpec
-    source: tl.TLMatrix                    # tagged: exact symmetric Toeplitz
-    case: str                              # "i" | "ii" | "iii" | "iv"
-    reps: tuple[str, ...] = ("pfd", "barycentric", "thiele")
-    m_max: int = 20
-    with_oracle: bool = True
-
-    def __post_init__(self):
-        if self.case not in ("i", "ii", "iii", "iv"):
-            raise DimensionError(f"unknown case {self.case!r}")
-        if self.source.toeplitz is None:
-            raise DimensionError("the source must be an exact symmetric Toeplitz "
-                                 "matrix, tagged with its first column")
-
-
-@dataclass(frozen=True)
 class ExperimentRow:
     case: str
     rep: str
@@ -104,19 +85,7 @@ class ExperimentRow:
                 str(self.accepted).lower(), self.tau, f"{self.wall_ms:.3f}"]
 
 
-def _build_arg(config: ExperimentConfig):
-    """MatArg + dense matrix for the oracle, per the case selector."""
-    dense = scipy.linalg.toeplitz(config.source.toeplitz)
-    ev = np.linalg.eigvalsh(dense)
-    c0, d0 = float(ev[0]), float(ev[-1])
-    if config.case == "iv":
-        diag = cosine_points(config.source.n, c0, d0)
-        return mf.diag_arg(diag), np.diag(diag)
-    if config.case == "ii":
-        c0, d0 = c0 / 2.0, 2.0 * d0
-    if config.case == "iii":
-        return mf.dense_arg(dense, c0, d0), dense
-    return mf.tl_arg(config.source, c0, d0), dense
+CSV_HEADER = [f.name for f in fields(ExperimentRow)]
 
 
 def _row(case: str, rep: str, rec: mf.DegreeRecord) -> ExperimentRow:
@@ -127,10 +96,31 @@ def _row(case: str, rep: str, rec: mf.DegreeRecord) -> ExperimentRow:
                          rec.accepted, tau, rec.wall_ms)
 
 
-def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
-                  oracle_norm) -> list[ExperimentRow]:
-    spec = config.spec
-    g = build_geometry(spec.alpha, spec.beta, arg.c, arg.d)
+def run_experiment(spec: MarkovSpec, source: tl.TLMatrix, case: str,
+                   reps=("pfd", "barycentric", "thiele"), m_max: int = 20,
+                   with_oracle: bool = True) -> list[ExperimentRow]:
+    """One row per (rep, m), m = 1..m_max, of the degree sweep on the case's
+    argument built from source, a tagged (exact symmetric Toeplitz) matrix.
+    rel_err is against the eigh oracle, NaN without it or above ORACLE_MAX_N."""
+    if case not in ("i", "ii", "iii", "iv"):
+        raise DimensionError(f"unknown case {case!r}")
+    if source.toeplitz is None:
+        raise DimensionError("the source must be an exact symmetric Toeplitz "
+                             "matrix, tagged with its first column")
+    dense = scipy.linalg.toeplitz(source.toeplitz)
+    ev = np.linalg.eigvalsh(dense)
+    c, d = float(ev[0]), float(ev[-1])
+    if case == "ii":
+        c, d = c / 2.0, 2.0 * d
+    if case == "iv":
+        eigs = cosine_points(source.n, c, d)
+        arg, dense = mf.diag_arg(eigs), np.diag(eigs)
+    else:
+        arg = mf.dense_arg(dense, c, d) if case == "iii" else mf.tl_arg(source, c, d)
+    oracle = None
+    if with_oracle and dense.shape[0] <= ORACLE_MAX_N:
+        oracle = dense_f_oracle(spec, dense)
+        oracle_norm = mf.spectral_norm(oracle)
 
     def measure(r):
         """(relative error against the oracle, generator width) of r(A)."""
@@ -140,20 +130,9 @@ def _rows_for_rep(config: ExperimentConfig, rep: str, arg, oracle,
             rel_err = mf.spectral_norm(arg.ops.to_dense(approx) - oracle) / oracle_norm
         return rel_err, approx.width if isinstance(approx, tl.TLMatrix) else 0
 
-    return [_row(config.case, rep, rec)
-            for rec in mf.degree_sweep(spec, arg, g, rep,
-                                       range(1, config.m_max + 1), measure)]
-
-
-def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
-    arg, dense = _build_arg(config)
-    if config.with_oracle and dense.shape[0] <= ORACLE_MAX_N:
-        oracle = dense_f_oracle(config.spec, dense)
-        oracle_norm = mf.spectral_norm(oracle)
-    else:
-        oracle, oracle_norm = None, math.nan
-    return [row for rep in config.reps
-            for row in _rows_for_rep(config, rep, arg, oracle, oracle_norm)]
+    g = build_geometry(spec.alpha, spec.beta, arg.c, arg.d)
+    return [_row(case, rep, rec) for rep in reps
+            for rec in mf.degree_sweep(spec, arg, g, rep, range(1, m_max + 1), measure)]
 
 
 def write_rows(path, rows):

@@ -185,7 +185,8 @@ def eval_rational_at_matrix(r, a: MatArg):
     """r(A)'s data, of the argument's kind, in r's own representation:
     partial fractions sum shifted inverses, barycentric forms P(A) Q(A)^{-1},
     Thiele inverts its backward recurrence.  Diagonal arguments apply r
-    entrywise on the spectrum."""
+    entrywise on the spectrum.  On Toeplitz-like data the barycentric running
+    sums can lose every digit (log, m = 8, [1, 100], n = 32: error 3.4e2)."""
     _check_poles(r, a)
     if a.ops is _DIAGONAL:
         return np.asarray(r(a.data), dtype=float)
@@ -277,6 +278,8 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
     """For each m in the sequence ms fit r_m of spec and of the worst-case
     function at the quasi-optimal nodes, apply measure to r_m and test
     it with the worst-case residual on a; yield one DegreeRecord per degree.
+    A partial-fraction r_m with a pole in a's [c, d] rejects its degree
+    before measure or the residual runs.
 
     The geometry's [c, d] must enclose the argument's own [c, d]: a looser
     one only makes the bounds pessimistic, a tighter one voids them."""
@@ -302,6 +305,7 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
             nodes = optimal_nodes(g, m)
             r_mu = fit_interpolant(spec, nodes, rep, interval=interval)
             r_nu = fit_interpolant(nu, nodes, rep, interval=interval)
+            _check_poles(r_mu, a)
             value = measure(r_mu)
             resid = residual_sqrt(a, r_nu, g)
         except MarktopError:
@@ -359,16 +363,10 @@ class _Fit(NamedTuple):
 def _accepted_fit(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str,
                   m_max: int) -> _Fit:
     """auto_degree's degree selection, without evaluating r_mu(A)."""
-
-    def fitted(r_mu):
-        # a pole in [c, d] still rejects the degree, without any matrix work
-        _check_poles(r_mu, a)
-        return r_mu
-
     m0 = _start_degree(g, rep, a.n, m_max)
     for start in ((m0, 1) if m0 > 1 else (1,)):
         history, prev = [], None
-        for rec in degree_sweep(spec, a, g, rep, range(start, m_max + 1), fitted):
+        for rec in degree_sweep(spec, a, g, rep, range(start, m_max + 1), lambda r: r):
             history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
             if not rec.accepted:
                 break
@@ -385,7 +383,8 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
                 m_max: int = 20) -> MatFunResult:
     """Increase m while the worst-case residual stays below five times the
     a priori bound; return the last accepted degree (stop one before the
-    first violation).  r_mu(A) is evaluated once, at that degree.
+    first violation).  r_mu(A) is evaluated once, at that degree; the
+    sweep's pole check rejects a degree without it.
 
     pfd starts at the _start_degree m0, since its sharp a priori bound lets
     only degrees near the rounding floor fail, and reruns from m = 1 if

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 
 @pytest.fixture
@@ -54,15 +53,3 @@ def compress_widths(monkeypatch):
     monkeypatch.setattr(tlalgebra, "compress", counting)
     return widths
 
-
-def random_spd_toeplitz_col(n, seed, diag=4.0, spread=0.5):
-    """First column of a diagonally dominant (hence SPD) symmetric Toeplitz."""
-    r = np.random.default_rng(seed)
-    off = r.uniform(-1.0, 1.0, n - 1)
-    off *= spread / np.sum(np.abs(off))
-    return np.concatenate([[diag], off])
-
-
-def spectral_interval(col, row=None):
-    ev = np.linalg.eigvalsh(scipy.linalg.toeplitz(col, row))
-    return float(ev[0]), float(ev[-1])

@@ -11,8 +11,8 @@ from marktop import tlalgebra as tl
 from marktop.approx import apriori_bound, build_geometry
 from marktop.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from marktop.errors import DimensionError
-from marktop.experiments import (CSV_HEADER, ExperimentConfig,
-                                 gen_random_spd_toeplitz, laplacian1d)
+from marktop.experiments import (CSV_HEADER, gen_random_spd_toeplitz, laplacian1d,
+                                 run_experiment)
 from marktop.markov import inv_sqrt_spec
 from marktop.tlalgebra import read_toeplitz, write_toeplitz
 
@@ -98,7 +98,7 @@ def test_experiment_source_must_be_tagged():
     nonsymmetric = tl.multiply(tl.from_toeplitz([4.0, 1.0, 0.0]),
                                tl.from_toeplitz([4.0, 0.5, 0.0]))
     with pytest.raises(DimensionError, match="symmetric Toeplitz"):
-        ExperimentConfig(inv_sqrt_spec(), nonsymmetric, "i")
+        run_experiment(inv_sqrt_spec(), nonsymmetric, "i")
 
 
 def test_laplacian1d_entries():
@@ -253,8 +253,8 @@ def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys)
     path = tmp_path / "singular.txt"
     write_toeplitz(path, tl.from_toeplitz(np.ones(4)))  # rank one
 
-    def transposed_solve(config):
-        return tl.solve_t(config.source, np.ones(4))
+    def transposed_solve(spec, source, case, reps, m_max, with_oracle):
+        return tl.solve_t(source, np.ones(4))
 
     monkeypatch.setattr(cli.ex, "run_experiment", transposed_solve)
     rc = main(["matfun", "--matrix", "file", "--path", str(path)])
@@ -263,7 +263,7 @@ def test_matfun_singular_transposed_solve_exits_2(tmp_path, monkeypatch, capsys)
 
 
 def test_non_marktop_exception_exits_3(monkeypatch, capsys):
-    def broken(config):
+    def broken(spec, source, case, reps, m_max, with_oracle):
         raise ValueError("not a marktop error")
 
     monkeypatch.setattr(cli.ex, "run_experiment", broken)

@@ -8,8 +8,8 @@ from marktop import (Barycentric, DimensionError, DomainError, InvalidInterval,
                      build_geometry, check_hankel_definiteness, dense_arg,
                      diag_arg, eval_rational_at_matrix, frac_power, from_toeplitz,
                      inv_sqrt_spec, optimal_nodes, taylor_coeffs, tl_arg)
-from marktop.experiments import (ORACLE_MAX_N, ExperimentConfig, dense_f_oracle,
-                                 laplacian1d)
+from marktop.experiments import (ORACLE_MAX_N, dense_f_oracle, laplacian1d,
+                                 run_experiment)
 from marktop.interp import MAX_PFD_DEGREE, barycentric_fit, loewner_pfd
 from marktop.matfun import degree_sweep
 from marktop.tlalgebra import add as tl_add
@@ -34,7 +34,7 @@ def _short_file(tmp_path):
                  InvalidInterval, f"m must be <= {MAX_PFD_DEGREE}", id="pfd-degree-cap"),
     pytest.param(lambda tmp: barycentric_fit([]),
                  InvalidInterval, "need 2m >= 2 samples, got 0", id="fit-no-samples"),
-    pytest.param(lambda tmp: ExperimentConfig(inv_sqrt_spec(), laplacian1d(4), "v"),
+    pytest.param(lambda tmp: run_experiment(inv_sqrt_spec(), laplacian1d(4), "v"),
                  DimensionError, "unknown case 'v'", id="unknown-case"),
     pytest.param(lambda tmp: dense_f_oracle(
                      inv_sqrt_spec(), np.broadcast_to(1.0, (ORACLE_MAX_N + 1,) * 2)),
