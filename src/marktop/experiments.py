@@ -104,7 +104,7 @@ def run_experiment(spec: MarkovSpec, source: tl.TLMatrix, case: str,
     rel_err is against the eigh oracle, NaN without it or above ORACLE_MAX_N."""
     if case not in ("i", "ii", "iii", "iv"):
         raise DimensionError(f"unknown case {case!r}")
-    if source.toeplitz is None:
+    if getattr(source, "toeplitz", None) is None:
         raise DimensionError("the source must be an exact symmetric Toeplitz "
                              "matrix, tagged with its first column")
     dense = scipy.linalg.toeplitz(source.toeplitz)

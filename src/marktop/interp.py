@@ -214,7 +214,7 @@ def fit_interpolant(f, nodes, representation: str = "pfd",
         r = thiele_fit(samples)
     nonzero = fs != 0.0
     # fmax skips NaN entries
-    resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]))
+    resid = np.fmax.reduce(np.abs(1.0 - r(zs[nonzero]) / fs[nonzero]), initial=0.0)
     if resid > TOL_INTERP:
         warnings.warn(f"interpolation residual {resid:.2e} above {TOL_INTERP:.0e} "
                       f"({representation}, m={len(zs) // 2})", stacklevel=2)

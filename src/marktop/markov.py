@@ -75,15 +75,11 @@ def custom_spec(evaluator: Callable[[float], float], alpha: float, beta: float) 
 
 
 def worst_case_spec(alpha: float, beta: float) -> MarkovSpec:
-    """Spec of the worst-case Markov function for the interval [alpha, beta].
-
-    f(z) = sqrt(|alpha|) / sqrt((z - alpha)(z - beta)) for finite alpha,
-    with the limit 1/sqrt(z - beta) as alpha -> -inf.
-    """
-    if math.isinf(alpha):
-        return MarkovSpec(alpha, beta, lambda z: 1.0 / np.sqrt(z - beta))
-    scale = math.sqrt(abs(alpha))
-    return MarkovSpec(alpha, beta, lambda z: scale / np.sqrt((z - alpha) * (z - beta)))
+    """Spec of the worst-case Markov function for the interval [alpha, beta]:
+    f(z) = 1/sqrt(prod (z - e)) over its finite endpoints e, that is
+    1/sqrt((z - alpha)(z - beta)), or 1/sqrt(z - beta) for alpha = -inf."""
+    ends = [e for e in (alpha, beta) if math.isfinite(e)]
+    return MarkovSpec(alpha, beta, lambda z: 1.0 / np.sqrt(math.prod(z - e for e in ends)))
 
 
 def _log_over_zm1(z):
@@ -102,7 +98,7 @@ def eval_markov(spec: MarkovSpec, z):
     """Evaluate a Markov function at real z > beta.
 
     Accepts scalars or arrays; raises DomainError if any argument lies
-    in (-inf, beta], or if f returns a value with a nonzero imaginary part.
+    in (-inf, beta], or if f returns a nonfinite value or a nonreal one.
     """
     arr = np.asarray(z, dtype=float)
     if np.any(arr <= spec.beta):
@@ -113,6 +109,8 @@ def eval_markov(spec: MarkovSpec, z):
         if np.any(np.imag(out) != 0.0):
             raise DomainError(f"f must be real on (beta, inf) = ({spec.beta}, inf)")
         out = np.real(out)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"f must be finite on (beta, inf) = ({spec.beta}, inf)")
     if np.ndim(z) == 0:
         return float(out)
     return out

@@ -93,6 +93,8 @@ def dense_arg(a, c: float, d: float) -> MatArg:
 def tl_arg(a: tl.TLMatrix, c: float, d: float) -> MatArg:
     if not isinstance(a, tl.TLMatrix):
         raise DimensionError(f"tl_arg needs a TLMatrix, got {type(a).__name__}")
+    if not (np.all(np.isfinite(a.G)) and np.all(np.isfinite(a.B))):
+        raise DomainError("generator entries must be finite")
     return MatArg(a, c, d)
 
 def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
@@ -225,19 +227,18 @@ def _deviation(a: MatArg, apply) -> float:
 
 def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
     """Spectral-norm residual || I - R W R || of the worst-case interpolant with
-    R = r_nu(A) and W = (A - alpha I)(A - beta I)/|alpha|, or A - beta I when
-    alpha = -inf, applied factor by factor and never formed.  Its norm is exact
-    on dense and diagonal arguments; on tl a Lanczos Ritz value, a lower estimate."""
+    R = r_nu(A) and W = prod (A - e I) over the finite endpoints e of [alpha, beta],
+    applied factor by factor and never formed.  Its norm is exact on dense and
+    diagonal arguments; on tl a Lanczos Ritz value, a lower estimate."""
     ops = a.ops
     r = eval_rational_at_matrix(r_nu, a)
-    shifts = (g.beta,) if math.isinf(g.alpha) else (g.alpha, g.beta)
-    scale = 1.0 if math.isinf(g.alpha) else 1.0 / abs(g.alpha)
+    shifts = [e for e in (g.alpha, g.beta) if math.isfinite(e)]
 
     def rwr(v):
         v = ops.matvec(r, v)
         for z in shifts:
             v = ops.matvec(a.data, v) - z * v
-        return ops.matvec(r, scale * v)
+        return ops.matvec(r, v)
 
     return _deviation(a, rwr)
 

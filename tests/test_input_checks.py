@@ -75,6 +75,13 @@ def _short_file(tmp_path):
                  DimensionError, r"got ndarray\(2, 2, 2\)", id="matarg-3d"),
     pytest.param(lambda tmp: tl_arg(np.eye(3), 1.0, 3.0),
                  DimensionError, "needs a TLMatrix, got ndarray", id="tl-arg-ndarray"),
+    pytest.param(lambda tmp: tl_arg(TLMatrix(2, np.array([[1.0], [np.nan]]),
+                                             np.ones((2, 1))), 1.0, 3.0),
+                 DomainError, "generator entries must be finite", id="tl-arg-nan"),
+    pytest.param(lambda tmp: run_experiment(inv_sqrt_spec(), np.eye(4), "i"),
+                 DimensionError, "exact symmetric Toeplitz", id="experiment-ndarray-source"),
+    pytest.param(lambda tmp: inv_sqrt_spec()(np.nan),
+                 DomainError, "f must be finite", id="markov-spec-nan-point"),
     pytest.param(lambda tmp: dense_arg(from_toeplitz([2.0, 1.0]), 1.0, 3.0),
                  DimensionError, "square matrix of numbers, got TLMatrix",
                  id="dense-arg-tlmatrix"),

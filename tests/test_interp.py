@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from marktop import (Barycentric, Breakdown, DimensionError, InvalidInterval,
-                     PartialFraction, PoleHit, RankDeficiency, ThieleCF,
-                     apriori_bound, barycentric_fit, build_geometry,
+                     PartialFraction, PencilError, PoleHit, RankDeficiency,
+                     ThieleCF, apriori_bound, barycentric_fit, build_geometry,
                      fit_interpolant, interp_error_scan, inv_sqrt_spec,
                      loewner_pfd, optimal_nodes, thiele_fit)
 
@@ -105,6 +105,17 @@ def test_barycentric_all_zero_data_is_zero(m):
     # the system is zero: any nullspace vector is a weight vector, r = 0
     r = barycentric_fit([(z, 0.0) for z in np.linspace(1.0, 2.0, 2 * m)])
     assert np.array_equal(r(np.linspace(0.5, 3.0, 51)), np.zeros(51))
+
+
+def test_fit_interpolant_of_all_zero_data():
+    # the interpolation-residual check skips zero samples, here all of them
+    nodes = optimal_nodes(build_geometry(-INF, 0.0, 1.0, 10.0), 3)
+    r = fit_interpolant(lambda z: 0 * z, nodes, "barycentric")
+    assert np.array_equal(r(np.linspace(1.0, 10.0, 7)), np.zeros(7))
+    with pytest.raises(PencilError):
+        fit_interpolant(lambda z: 0 * z, nodes, "pfd")
+    with pytest.raises(Breakdown):
+        fit_interpolant(lambda z: 0 * z, nodes, "thiele")
 
 
 # ----------------------------------------------------------------- thiele_fit

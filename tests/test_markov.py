@@ -58,11 +58,17 @@ def test_worst_case_identity():
     z = np.linspace(0.5, 50.0, 40)
     nu = worst_case_spec(-2.0, 0.25)
     f = np.asarray(eval_markov(nu, z + 0.25))
-    ident = f ** 2 * ((z + 0.25) + 2.0) * ((z + 0.25) - 0.25) / 2.0
+    ident = f ** 2 * ((z + 0.25) + 2.0) * ((z + 0.25) - 0.25)
     assert np.max(np.abs(ident - 1.0)) < 1e-13
     nu_inf = worst_case_spec(-math.inf, 0.25)
     f = np.asarray(eval_markov(nu_inf, z + 0.25))
     assert np.max(np.abs(f ** 2 * z - 1.0)) < 1e-13
+
+
+def test_worst_case_identity_with_alpha_zero():
+    z = np.linspace(0.6, 50.0, 40)
+    f = np.asarray(eval_markov(worst_case_spec(0.0, 0.5), z))
+    assert np.max(np.abs(f ** 2 * z * (z - 0.5) - 1.0)) < 1e-13
 
 
 def test_power_gamma_validation():

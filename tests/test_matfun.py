@@ -9,7 +9,7 @@ import scipy.linalg
 
 from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionError,
                      InvalidInterval, MatArg, NoConvergence, PartialFraction, PoleCollision, SingularMatrix, aposteriori_bound,
-                     apriori_bound, auto_degree, build_geometry, dense_arg,
+                     apriori_bound, auto_degree, build_geometry, custom_spec, dense_arg,
                      diag_arg, eval_rational_at_matrix, fit_interpolant,
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
                      log_via_scaling, loewner_pfd, optimal_nodes, power_spec, residual_sqrt,
@@ -1053,3 +1053,35 @@ def test_singular_inverse_raises_singular_matrix(kind):
          else tl_arg(from_toeplitz(np.zeros(3)), 1.0, 2.0))
     with pytest.raises(SingularMatrix):
         sqrt_db_newton(a)
+
+
+# the Markov function of dx on [0, 0.5], whose support reaches alpha = 0
+_LOG_ON_0_HALF = custom_spec(lambda z: np.log(z / (z - 0.5)) / 0.5, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["diag", "dense", "tl"])
+@pytest.mark.parametrize("rep", ["pfd", "barycentric", "thiele"])
+def test_markov_function_supported_on_zero_to_beta_is_accepted(rep, kind):
+    n = 64
+    t = gen_random_spd_toeplitz(n, 1.0, 10.0, 0)
+    dense = scipy.linalg.toeplitz(t.toeplitz)
+    a = {"diag": diag_arg(np.linalg.eigvalsh(dense), 1.0, 10.0),
+         "dense": dense_arg(dense, 1.0, 10.0), "tl": tl_arg(t, 1.0, 10.0)}[kind]
+    g = build_geometry(0.0, 0.5, 1.0, 10.0)
+    res = auto_degree(_LOG_ON_0_HALF, a, g, rep, m_max=12)
+    assert res.m >= 4
+    if rep == "pfd":
+        got = a.ops.to_dense(res.approximation.data)
+        want = (np.diag(_LOG_ON_0_HALF(a.data)) if kind == "diag"
+                else dense_f_oracle(_LOG_ON_0_HALF, dense))
+        err = spectral_norm(got - want) / spectral_norm(want)
+        assert err <= apriori_bound(g, res.m) + 64 * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("rep", ["pfd", "barycentric", "thiele"])
+def test_nonfinite_function_values_make_the_sweep_reject_every_degree(rep):
+    spec = custom_spec(lambda z: np.where(np.asarray(z) > 5, np.nan, 1 / np.sqrt(z)),
+                       -INF, 0.0)
+    a = diag_arg(cosine_points(1.0, 10.0, 32))
+    with pytest.raises(DegreeUnavailable):
+        auto_degree(spec, a, build_geometry(-INF, 0.0, 1.0, 10.0), rep, m_max=6)
