@@ -282,8 +282,8 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
     A partial-fraction r_m with a pole in a's [c, d] rejects its degree
     before measure or the residual runs.
 
-    The geometry's [c, d] must enclose the argument's own [c, d]: a looser
-    one only makes the bounds pessimistic, a tighter one voids them."""
+    The geometry's [c, d] and [alpha, beta] must enclose a's [c, d] and the
+    spec's support: looser ones make the bounds pessimistic, tighter void them."""
     if rep not in REPRESENTATIONS:
         raise DimensionError(f"unknown representation {rep!r}")
     if not ms or min(ms) < 1:
@@ -293,6 +293,9 @@ def degree_sweep(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str, ms,
     if not (g.c <= a.c and a.d <= g.d):
         raise BoundInvalid(f"geometry [c, d] = [{g.c:.6g}, {g.d:.6g}] does not "
                            f"enclose the argument's [{a.c:.6g}, {a.d:.6g}]")
+    if not (g.alpha <= spec.alpha and spec.beta <= g.beta):
+        raise BoundInvalid(f"geometry [alpha, beta] = [{g.alpha:.6g}, {g.beta:.6g}] "
+                           f"does not contain the support [{spec.alpha:.6g}, {spec.beta:.6g}]")
     nu = worst_case_spec(g.alpha, g.beta)
     interval = (g.alpha, g.beta)
     for m in ms:
@@ -364,8 +367,8 @@ class _Fit(NamedTuple):
 def _accepted_fit(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str,
                   m_max: int) -> _Fit:
     """auto_degree's degree selection, without evaluating r_mu(A)."""
-    m0 = _start_degree(g, rep, a.n, m_max)
-    for start in ((m0, 1) if m0 > 1 else (1,)):
+    # a rejected start restarts one degree lower: the largest accepted m below it
+    for start in range(_start_degree(g, rep, a.n, m_max), 0, -1):
         history, prev = [], None
         for rec in degree_sweep(spec, a, g, rep, range(start, m_max + 1), lambda r: r):
             history.append((rec.m, rec.residual, rec.apriori, rec.accepted))
@@ -388,9 +391,9 @@ def auto_degree(spec: MarkovSpec, a: MatArg, g: Geometry, rep: str = "pfd",
     sweep's pole check rejects a degree without it.
 
     pfd starts at the _start_degree m0, since its sharp a priori bound lets
-    only degrees near the rounding floor fail, and reruns from m = 1 if
-    m0 > 1 is rejected.  The history holds the degrees tried by the last
-    sweep."""
+    only degrees near the rounding floor fail; a rejected start restarts one
+    degree lower, so a rejected m0 gives the largest accepted degree below it.
+    The history holds the degrees tried by the last sweep."""
     fit = _accepted_fit(spec, a, g, rep, m_max)
     return MatFunResult(replace(a, data=eval_rational_at_matrix(fit.r, a)),
                         fit.m, fit.history, fit.not_triggered)

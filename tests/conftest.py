@@ -24,6 +24,22 @@ def levinson_calls(monkeypatch):
 
 
 @pytest.fixture
+def residual_calls(monkeypatch):
+    """Degree m of the worst-case fit in each residual evaluation made
+    during the test."""
+    from marktop import matfun
+    calls = []
+    residual_sqrt = matfun.residual_sqrt
+
+    def counting(a, r_nu, g):
+        calls.append(len(r_nu.nodes) // 2)
+        return residual_sqrt(a, r_nu, g)
+
+    monkeypatch.setattr(matfun, "residual_sqrt", counting)
+    return calls
+
+
+@pytest.fixture
 def dense_calls(monkeypatch):
     """Size n of each TL matrix densified during the test."""
     from marktop import tlalgebra

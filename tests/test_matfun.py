@@ -262,25 +262,34 @@ def test_auto_degree_unavailable_with_lying_bounds():
         auto_degree(inv_sqrt_spec(), a, g, m_max=5)
 
 
-@pytest.mark.parametrize("gc, gd", [(2.0, 6.0), (0.5, 50.0), (2.0, 200.0)])
-def test_auto_degree_rejects_geometry_inside_argument_bounds(gc, gd):
+@pytest.mark.parametrize("alpha, gc, gd", [
+    pytest.param(-INF, 2.0, 6.0, id="2.0-6.0"),
+    pytest.param(-INF, 0.5, 50.0, id="0.5-50.0"),
+    pytest.param(-INF, 2.0, 200.0, id="2.0-200.0"),
+    # an [alpha, beta] inside the spec's support voids the bounds as well
+    pytest.param(-1.0, 1.0, 100.0, id="alpha=-1"),
+    pytest.param(-0.01, 1.0, 100.0, id="alpha=-0.01"),
+])
+def test_auto_degree_rejects_geometry_inside_argument_bounds(alpha, gc, gd):
     a = diag_arg(cosine_points(1.0, 100.0, 40), 1.0, 100.0)
-    g = build_geometry(-INF, 0.0, gc, gd)
+    g = build_geometry(alpha, 0.0, gc, gd)
     with pytest.raises(BoundInvalid):
         auto_degree(inv_sqrt_spec(), a, g, m_max=8)
 
 
 def test_auto_degree_accepts_looser_geometry():
-    # a [c, d] wider than the argument's keeps every bound valid, only
-    # pessimistic: the accepted degree still meets its a priori bound
+    # a [c, d] wider than the argument's, or an [alpha, beta] wider than the
+    # spec's support, keeps every bound valid, only pessimistic: the
+    # accepted degree still meets its a priori bound
     lam = cosine_points(1.0, 100.0, 40)
     a = diag_arg(lam, 1.0, 100.0)
-    loose = build_geometry(-INF, 0.0, 0.5, 200.0)
     tight = build_geometry(-INF, 0.0, 1.0, 100.0)
-    res = auto_degree(inv_sqrt_spec(), a, loose, m_max=8)
-    err = np.max(np.abs(1.0 - res.approximation.data * np.sqrt(lam)))
-    assert err <= apriori_bound(loose, res.m)
-    assert apriori_bound(loose, res.m) > apriori_bound(tight, res.m)
+    for loose in (build_geometry(-INF, 0.0, 0.5, 200.0),
+                  build_geometry(-INF, 0.5, 1.0, 100.0)):
+        res = auto_degree(inv_sqrt_spec(), a, loose, m_max=8)
+        err = np.max(np.abs(1.0 - res.approximation.data * np.sqrt(lam)))
+        assert err <= apriori_bound(loose, res.m)
+        assert apriori_bound(loose, res.m) > apriori_bound(tight, res.m)
 
 
 def test_auto_degree_tl_reaches_dense_accuracy():
@@ -570,7 +579,7 @@ def test_degree_sweep_rejects_unknown_representation_before_fitting(monkeypatch)
 
 def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
     # a pfd r_mu with a pole in [c, d] still rejects its degree; at m0 that
-    # sends the search back to the sweep from m = 1
+    # restarts the search one degree lower, whose sweep stops at m0 again
     a = _kind_args()["dense"]
     spec = inv_sqrt_spec()
     g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
@@ -588,7 +597,7 @@ def test_auto_degree_rejects_degree_with_pole_in_interval(monkeypatch):
     res = auto_degree(spec, a, g, "pfd", m_max=6)
     assert res.m == m0 - 1
     assert res.history[-1][0] == m0 and res.history[-1][1] == INF and not res.history[-1][3]
-    assert res.history == _sweep_from_one(spec, a, g, "pfd", 6)[2]
+    assert res.history == _sweep_from_one(spec, a, g, "pfd", 6)[2][m0 - 2:]
 
 
 def test_start_degree_counts_invalid_bounds_as_above_the_floor():
@@ -696,12 +705,14 @@ def test_warm_start_edge_cases(case):
         assert res.history == rows and res.history[0][0] == 1
 
 
-def test_rejection_at_m0_gives_the_sweep_from_one(monkeypatch):
-    # a residual forced above the threshold at m0 sends the search back to
-    # m = 1, whose history is today's whole sweep
+def test_rejection_at_m0_restarts_one_degree_lower(monkeypatch):
+    # a residual forced above the threshold once, at m0, restarts the search
+    # at m0 - 1, whose sweep passes m0 this time and ends where the sweep
+    # from m = 1 ends
     a = _toeplitz_arg("tl", 32, 1e2)
     spec = inv_sqrt_spec()
     g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m0 = _m0(g, a.n, 20)
     m, want, rows = _sweep_from_one(spec, a, g, "pfd", 20)
     residual, tried = matfun.residual_sqrt, []
 
@@ -711,9 +722,29 @@ def test_rejection_at_m0_gives_the_sweep_from_one(monkeypatch):
 
     monkeypatch.setattr(matfun, "residual_sqrt", first_fails)
     res = auto_degree(spec, a, g, "pfd", m_max=20)
-    assert tried[0] == _m0(g, a.n, 20) > 1 and tried[1:] == list(range(1, m + 2))
+    assert tried[0] == m0 > 1 and tried[1:] == list(range(m0 - 1, m + 2))
     assert res.m == m and _same_data(res.approximation.data, want)
-    assert res.history == rows
+    assert res.history == rows[m0 - 2:]
+
+
+@pytest.mark.parametrize("kind", ["tl", "dense"])
+def test_natural_rejection_at_m0_steps_down(kind, residual_calls):
+    # at kappa = 1e10 the fits fail to form from some m below m0 = 20 on:
+    # each start above it is rejected inside the scalar fit, and the first
+    # start that forms is accepted; its sweep stops one degree higher, so
+    # the search makes two residual evaluations where the sweep from m = 1
+    # makes m + 1 and returns the same degree and r(A)
+    t = gen_random_spd_toeplitz(256, 1.0, 1e10, 0)
+    a = tl_arg(t, 1.0, 1e10) if kind == "tl" else dense_arg(to_dense(t), 1.0, 1e10)
+    spec = inv_sqrt_spec()
+    g = build_geometry(spec.alpha, spec.beta, a.c, a.d)
+    m, want, _ = _sweep_from_one(spec, a, g, "pfd", 20)
+    residual_calls.clear()
+    res = auto_degree(spec, a, g, "pfd", m_max=20)
+    assert res.m == m < _m0(g, a.n, 20)
+    assert _same_data(res.approximation.data, want)
+    assert [row[0] for row in res.history] == [m, m + 1]
+    assert len(residual_calls) <= 2
 
 
 # --------------------------------------------------------------- sqrt_db_newton
