@@ -93,8 +93,8 @@ def dense_arg(a, c: float, d: float) -> MatArg:
 def tl_arg(a: tl.TLMatrix, c: float, d: float) -> MatArg:
     if not isinstance(a, tl.TLMatrix):
         raise DimensionError(f"tl_arg needs a TLMatrix, got {type(a).__name__}")
-    if not (np.all(np.isfinite(a.G)) and np.all(np.isfinite(a.B))):
-        raise DomainError("generator entries must be finite")
+    if not all(np.all(np.isfinite(x)) for x in (a.G, a.B, a.toeplitz) if x is not None):
+        raise DomainError("tag and generator entries must be finite")
     return MatArg(a, c, d)
 
 def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
@@ -109,16 +109,15 @@ def diag_arg(eigs, c: float | None = None, d: float | None = None) -> MatArg:
 
 class Ops(NamedTuple):
     """Dense or diagonal arithmetic under the names of tlalgebra, which serves
-    Toeplitz-like data.  Norms of applied operators: exact here, from below there."""
+    Toeplitz-like data.  deviation: exact here, from below there."""
 
-    shift: Callable     # (x, z) -> x - z I
-    scale: Callable     # (x, alpha) -> alpha x
-    add: Callable       # (x, y) -> x + y
-    multiply: Callable  # (x, y) -> x y
-    invert: Callable    # x -> x^{-1}
-    matvec: Callable    # (x, v) -> x v
-    norm_est: Callable  # (f, n) -> ||f||_2 of a symmetric operator f
-    to_dense: Callable  # x -> ndarray
+    shift: Callable      # (x, z) -> x - z I
+    scale: Callable      # (x, alpha) -> alpha x
+    add: Callable        # (x, y) -> x + y
+    multiply: Callable   # (x, y) -> x y
+    invert: Callable     # x -> x^{-1}
+    deviation: Callable  # [F1, ..., Fk] -> ||I - F1 ... Fk||_2
+    to_dense: Callable   # x -> ndarray
 
 
 def spectral_norm(x) -> float:
@@ -155,8 +154,8 @@ _DENSE = Ops(shift=lambda x, z: x - z * np.eye(len(x)),
              add=lambda x, y: x + y,
              multiply=lambda x, y: x @ y,
              invert=_dense_inv,
-             matvec=lambda x, v: x @ v,
-             norm_est=lambda f, n: spectral_norm(f(np.eye(n))),
+             deviation=lambda fs: spectral_norm(
+                 np.eye(len(fs[0])) - functools.reduce(np.matmul, fs)),
              to_dense=lambda x: x)
 
 _DIAGONAL = Ops(shift=lambda x, z: x - z,
@@ -164,8 +163,8 @@ _DIAGONAL = Ops(shift=lambda x, z: x - z,
                 add=lambda x, y: x + y,
                 multiply=lambda x, y: x * y,
                 invert=lambda x: 1.0 / x,
-                matvec=lambda x, v: x * v,
-                norm_est=lambda f, n: float(np.max(np.abs(f(np.ones(n))))),
+                deviation=lambda fs: float(np.max(np.abs(
+                    1.0 - functools.reduce(np.multiply, fs)))),
                 to_dense=np.diag)
 
 
@@ -220,43 +219,28 @@ def eval_rational_at_matrix(r, a: MatArg):
     return ops.multiply(num, ops.invert(den))
 
 
-def _deviation(a: MatArg, apply) -> float:
-    """|| I - X || for the symmetric operator apply: v -> X v."""
-    return a.ops.norm_est(lambda v: v - apply(v), a.n)
-
-
 def residual_sqrt(a: MatArg, r_nu, g: Geometry) -> float:
     """Spectral-norm residual || I - R W R || of the worst-case interpolant with
     R = r_nu(A) and W = prod (A - e I) over the finite endpoints e of [alpha, beta],
-    applied factor by factor and never formed.  Its norm is exact on dense and
-    diagonal arguments; on tl a Lanczos Ritz value, a lower estimate."""
-    ops = a.ops
+    the deviation of the factors R, A - e I, ..., R.  Exact on dense and diagonal
+    arguments; on tl, which never forms their product, a lower estimate."""
     r = eval_rational_at_matrix(r_nu, a)
-    shifts = [e for e in (g.alpha, g.beta) if math.isfinite(e)]
-
-    def rwr(v):
-        v = ops.matvec(r, v)
-        for z in shifts:
-            v = ops.matvec(a.data, v) - z * v
-        return ops.matvec(r, v)
-
-    return _deviation(a, rwr)
+    weight = [a.ops.shift(a.data, e) for e in (g.alpha, g.beta) if math.isfinite(e)]
+    return a.ops.deviation([r, *weight, r])
 
 
 def aposteriori_bound(a: MatArg, r_m, r_mp, g: Geometry) -> float:
     """(1+delta)/(1-delta) * || I - r_m(A) r_{m+m'}(A)^{-1} || + delta with
-    delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp.  The factor
-    covers the quotient's distortion by r_mp; the added delta is r_mp's own
-    relative error, which the quotient cannot see."""
+    delta = 4 eta~/(1-eta~)^2 from the enriched node set of r_mp, the norm
+    the deviation of the two factors.  The factor covers the quotient's
+    distortion by r_mp; the added delta is r_mp's own relative error."""
     if len(r_mp.nodes) <= len(r_m.nodes):
         raise BoundInvalid("reference interpolant must use strictly more nodes")
     delta = relative_error_bound(g, r_mp.nodes)
     if delta >= 1.0:
         raise BoundInvalid(f"delta = {delta:.3g} >= 1")
-    em = eval_rational_at_matrix(r_m, a)
-    emp_inv = a.ops.invert(eval_rational_at_matrix(r_mp, a))
-    return (1.0 + delta) / (1.0 - delta) * _deviation(
-        a, lambda v: a.ops.matvec(em, a.ops.matvec(emp_inv, v))) + delta
+    em, emp = (eval_rational_at_matrix(r, a) for r in (r_m, r_mp))
+    return (1.0 + delta) / (1.0 - delta) * a.ops.deviation([em, a.ops.invert(emp)]) + delta
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +400,8 @@ _MAX_NEWTON = 25
 
 def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
     """Product-form Denman-Beavers iteration with the optimal scaling
-    schedule; mu is frozen at 1 once (1 - mu^4)/mu^4 <= 1e-3.  Returns the
-    first root with ||I - M_k|| <= tol; NoConvergence after _MAX_NEWTON steps."""
+    schedule; mu is frozen at 1 once (1 - mu^4)/mu^4 <= 1e-3.  Returns the first
+    root whose deviation ||I - M_k|| is <= tol; NoConvergence after _MAX_NEWTON steps."""
     c, d = b.c, b.d
     if tol is None:
         tol = 10.0 * b.n * _EPS * (d / c)
@@ -441,7 +425,7 @@ def sqrt_db_newton(b: MatArg, tol: float | None = None) -> SqrtResult:
                               ops.scale(minv, 1.0 / (4.0 * mu * mu))), -0.5)
         x = ops.multiply(ops.shift(ops.scale(minv, 1.0 / (mu * mu)), -1.0),
                          ops.scale(x, mu / 2.0))
-        res = _deviation(b, lambda v: ops.matvec(m, v))
+        res = ops.deviation([m])
         residuals.append(res)
         if res <= tol:
             return SqrtResult(replace(b, data=x, c=math.sqrt(c), d=math.sqrt(d)),

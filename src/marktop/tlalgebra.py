@@ -111,6 +111,8 @@ class TLMatrix:
         if self.G.shape != self.B.shape or self.G.shape[0] != self.n:
             raise DimensionError(
                 f"generator shapes {self.G.shape}/{self.B.shape} for n={self.n}")
+        if self.toeplitz is not None and np.shape(self.toeplitz) != (self.n,):
+            raise DimensionError(f"tag shape {np.shape(self.toeplitz)} for n={self.n}")
 
     def __len__(self) -> int:
         return self.n
@@ -334,6 +336,12 @@ def norm_est(apply, n: int) -> float:
             break
         basis = np.vstack([basis, w / beta[-1]])
     return ritz[-1]
+
+
+def deviation(factors) -> float:
+    """norm_est of v -> v - F1 (... (Fk v)): ||I - F1 ... Fk||_2 from below."""
+    return norm_est(lambda v: v - functools.reduce(
+        lambda w, f: matvec(f, w), reversed(factors), v), factors[0].n)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def _short_file(tmp_path):
     pytest.param(lambda tmp: TLMatrix(3, np.ones((3, 2)), np.ones((3, 1))),
                  DimensionError, r"generator shapes \(3, 2\)/\(3, 1\) for n=3",
                  id="tlmatrix-generator-shapes"),
+    pytest.param(lambda tmp: TLMatrix(4, np.ones((4, 2)), np.ones((4, 2)),
+                                      toeplitz=np.array([2.0, 1.0, 0.0])),
+                 DimensionError, r"tag shape \(3,\) for n=4", id="tlmatrix-tag-length"),
+    pytest.param(lambda tmp: tl_arg(TLMatrix(2, from_toeplitz([2.0, 1.0]).G,
+                                             from_toeplitz([2.0, 1.0]).B,
+                                             toeplitz=np.array([2.0, np.nan])), 1.0, 3.0),
+                 DomainError, "tag and generator entries must be finite", id="tl-arg-nan-tag"),
     pytest.param(lambda tmp: MarkovSpec(-np.inf, np.inf, np.sqrt),
                  InvalidInterval, "beta must be finite", id="markov-spec-beta-inf"),
     pytest.param(lambda tmp: taylor_coeffs(inv_sqrt_spec(), 0.0, 3),

@@ -166,6 +166,35 @@ def test_residual_matrix_matches_diagonal():
     assert got_dense * (1.0 - 5e-3) <= got_tl <= got_dense * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "tagged", "untagged"])
+def test_deviation_of_two_endpoint_residual_factors(kind):
+    # R, A - alpha I, A - beta I, R with [alpha, beta] = [-1, 0], against
+    # ||I - prod F|| from dense arithmetic on the same factors
+    t = gen_random_spd_toeplitz(64, 1.0, 10.0, 0)
+    g = build_geometry(-1.0, 0.0, 1.0, 10.0)
+    r_nu = fit_interpolant(worst_case_spec(-1.0, 0.0), optimal_nodes(g, 2), "pfd",
+                           interval=(-1.0, 0.0))
+    data = {"dense": scipy.linalg.toeplitz(t.toeplitz), "tagged": t,
+            "untagged": dataclasses.replace(t, toeplitz=None),
+            "diagonal": np.linalg.eigvalsh(scipy.linalg.toeplitz(t.toeplitz))}[kind]
+    a = MatArg(data, 1.0, 10.0)
+    r = eval_rational_at_matrix(r_nu, a)
+    factors = [r, a.ops.shift(data, -1.0), a.ops.shift(data, 0.0), r]
+    product = np.eye(64)
+    for f in factors:
+        product = product @ a.ops.to_dense(f)
+    got = a.ops.deviation(factors)
+    if kind == "diagonal":
+        assert got == np.max(np.abs(np.diag(np.eye(64) - product)))
+        return
+    exact = np.linalg.norm(np.eye(64) - product, 2)
+    assert exact > 1e-6  # well above rounding
+    if kind == "dense":
+        assert got == pytest.approx(exact, rel=1e-13)
+    else:
+        assert exact * (1.0 - 1e-3) <= got <= exact * (1.0 + 1e-12)
+
+
 # ------------------------------------------------------------ aposteriori_bound
 
 def test_aposteriori_requires_more_nodes():
@@ -1066,7 +1095,7 @@ def test_spectral_norm_at_rounding_floor_zero_and_nonfinite():
     assert spectral_norm(bad) == INF
     # a nonfinite residual operator reads inf, so its degree is rejected
     ops = dense_arg(np.eye(4), 1.0, 1.0).ops
-    assert ops.norm_est(lambda v: np.full_like(v, np.nan), 4) == INF
+    assert ops.deviation([np.full((4, 4), np.nan)]) == INF
 
 
 def test_dense_inverse_matches_solve():

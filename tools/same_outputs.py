@@ -14,6 +14,10 @@ against the eigh oracles of ``perfbench/workloads``.  Nothing under
                     the same, but the change's degree history is the tail
                     of the parent's rows from degree k on: it started its
                     degree search at k
+    same result, history residuals moved by <= x relative
+                    every output but the degree history is bitwise equal,
+                    and so are the history's degrees and accept flags; x is
+                    the largest relative change of a history residual
     same m/ell/accept flags, |delta digits| = x
                     returned degree, scaling and per-degree accept flags
                     agree, and the checked digits differ by x
@@ -99,12 +103,23 @@ def _flags(out: dict) -> dict:
     return {k: out[k] for k in ("rep", "m", "accepted")}
 
 
-VERDICTS = ("bitwise", "history tail", "same flags", "same error", "differs")
+VERDICTS = ("bitwise", "history tail", "same result", "same flags", "same error",
+            "differs")
+
+
+def _residual_move(ha: np.ndarray, hb: np.ndarray) -> float:
+    """Largest relative change of a history residual; 0 where the two are
+    equal, both inf included."""
+    ra, rb = ha[:, 1], hb[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = np.where(ra == rb, 0.0, np.abs(rb - ra) / np.abs(ra))
+    return float(np.max(moved, initial=0.0))
 
 
 def verdict(a: dict, b: dict) -> tuple[str, float | None]:
-    """(one of VERDICTS, |delta digits| or None) for two records of one
-    operation."""
+    """(one of VERDICTS, x) for two records of one operation: x is the
+    largest relative residual change for "same result", |delta digits|
+    for the verdicts before it and for "same flags", else None."""
     from worker import same   # imported here so that a child run loads its own tree's
 
     if a["error"] or b["error"]:
@@ -118,6 +133,9 @@ def verdict(a: dict, b: dict) -> tuple[str, float | None]:
     if ha is not None and hb is not None and 0 < len(hb) < len(ha) \
             and same(dict(oa, history=ha[len(ha) - len(hb):]), ob):
         return "history tail", 0.0
+    if ha is not None and hb is not None \
+            and same(dict(oa, history=ha[:, [0, 3]]), dict(ob, history=hb[:, [0, 3]])):
+        return "same result", _residual_move(ha, hb)
     if same(_flags(oa), _flags(ob)):
         return "same flags", abs(a["digits"] - b["digits"])
     return "differs", None
@@ -146,11 +164,14 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
             text = f"same m/ell/accept flags, |delta digits| = {delta:.2e}"
         elif kind == "history tail":
             text = f"bitwise, history from m = {b['out']['history'][0, 0]:g}"
+        elif kind == "same result":
+            text = f"same result, history residuals moved by <= {delta:.2e} relative"
         elif kind == "differs" and not (a["error"] or b["error"]):
             text = f"differs: {_changes(a, b)}"
         print(f"{a['workload']} seed {a['seed']} op {a['index']} {a['label']}: {text}")
         counts.setdefault(a["workload"], dict.fromkeys(VERDICTS, 0))[kind] += 1
-        worst[a["workload"]] = max(worst.get(a["workload"], 0.0), delta or 0.0)
+        digits = 0.0 if kind == "same result" else delta or 0.0
+        worst[a["workload"]] = max(worst.get(a["workload"], 0.0), digits)
     for name, c in counts.items():
         print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in c.items())
               + f", max |delta digits| {worst[name]:.2e}")
