@@ -13,14 +13,19 @@ skew-circulant factors.
 Exactly symmetric Toeplitz matrices carry their first column (the tag) and
 ``from_toeplitz``'s width-2 generator, rebuilt after sums, shifts and scalings.
 Their solves run the Levinson recursion without dense n x n arrays, and an
-inverse's generator is written in O(n) from the Levinson solve for
-A^{-1} e1.  Any other inverse takes one dense LU.
+inverse's generator is written in O(n) from x = A^{-1} e1.  ``invert`` takes
+x from one Levinson solve; ``shifted_inverses`` takes x for all shifts of A
+from one Lanczos run of A from e1, kept on A for later calls, where that is
+cheaper, and from Levinson where it is not.  Any other inverse takes one
+dense LU.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +34,9 @@ from scipy.linalg import lapack
 from .errors import DimensionError, DomainError, SingularMatrix
 
 COMPRESS_TOL = 1e-14
+_EPS = np.finfo(float).eps
+_CHECK = 8  # Lanczos steps between the convergence checks of shifted_inverses
+_KEEP = threading.Lock()  # held to compare and replace a kept Lanczos run
 
 
 def shift_matrix(n: int, theta: float) -> np.ndarray:
@@ -106,6 +114,9 @@ class TLMatrix:
     G: np.ndarray
     B: np.ndarray
     toeplitz: np.ndarray | None = None
+    # shifted_inverses's Lanczos run of A from e1, (basis, alpha, beta): never
+    # changed in place, only replaced whole by a longer run
+    _krylov: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.G.shape != self.B.shape or self.G.shape[0] != self.n:
@@ -219,7 +230,10 @@ def scale(a: TLMatrix, alpha: float) -> TLMatrix:
 
 
 def shift(a: TLMatrix, z: float) -> TLMatrix:
-    """A - z I; a tagged A is rebuilt from its shifted column."""
+    """A - z I: A itself for z = 0, else a tagged A is rebuilt from its
+    shifted column and an untagged one gains the generator column -2 z e1 en^T."""
+    if z == 0.0:
+        return a
     if a.toeplitz is not None:
         return from_toeplitz(a.toeplitz - z * _unit(a.n, 0))
     g = np.column_stack([a.G, _unit(a.n, 0)])
@@ -273,36 +287,44 @@ def solve(a: TLMatrix, rhs):
 solve_t = solve
 
 
-def invert(a: TLMatrix) -> TLMatrix:
-    """Generator pair of A^{-1} via structured solves.
-
-    Tagged data: X = A^{-1} follows from x = X e1, one Levinson solve.  With
+def _gohberg_semencul(x) -> TLMatrix:
+    """Generator of the symmetric Toeplitz X = A^{-1} from x = X e1.  With
     Z the down-shift without wrap, J the reversal and w = Z J x, the
     persymmetry en^T X = (Jx)^T and the Stein form of Gohberg-Semencul,
     X - Z X Z^T = (x x^T - w w^T)/x0, give in O(n) the width-4 generator
 
-    S(X) = (x + w) en^T - x (Z^T x)^T/x0 + w (Z^T w)^T/x0 + e1 (Jx)^T.
+    S(X) = (x + w) en^T - x (Z^T x)^T/x0 + w (Z^T w)^T/x0 + e1 (Jx)^T,
 
-    Every other matrix, width tau + 2 from
+    compressed afterwards."""
+    n = len(x)
+    if x[0] == 0.0:
+        raise SingularMatrix("A^-1 e1 has first entry 0")
+    w = np.append(0.0, x[:0:-1])
+    # Z^T v is the up-shift of v
+    g = np.column_stack([x + w, -x / x[0], w / x[0], _unit(n, 0)])
+    b = np.column_stack([_unit(n, -1), np.append(x[1:], 0.0),
+                         np.append(w[1:], 0.0), x[::-1]])
+    return compress(TLMatrix(n, g, b))
+
+
+def invert(a: TLMatrix) -> TLMatrix:
+    """Generator pair of A^{-1} via structured solves.
+
+    Tagged data: the _gohberg_semencul generator of x = A^{-1} e1, one
+    Levinson solve; it never reads A's generator.  Every other matrix,
+    width tau + 2 from
 
     S(A^{-1}) = -(A^{-1}G)(A^{-T}B)^T + 2 e1 (A^{-T}en)^T + 2 (A^{-1}e1) en^T,
 
-    with the right-hand sides stacked on one LU of the dense A.  Both are
-    compressed afterwards; the tagged formula never reads A's generator.
+    with the right-hand sides stacked on one LU of the dense A, and
+    compressed afterwards.  For many shifts A - yI of one tagged A,
+    shifted_inverses can replace the Levinson solves by one Lanczos run.
     """
     n, r = a.n, a.width
     if a.toeplitz is not None:
         # Levinson is reached through the module-level solve, where a
         # tracer can count it
-        x = solve(a, _unit(n, 0))
-        if x[0] == 0.0:
-            raise SingularMatrix("A^-1 e1 has first entry 0")
-        w = np.append(0.0, x[:0:-1])
-        # Z^T v is the up-shift of v
-        g = np.column_stack([x + w, -x / x[0], w / x[0], _unit(n, 0)])
-        b = np.column_stack([_unit(n, -1), np.append(x[1:], 0.0),
-                             np.append(w[1:], 0.0), x[::-1]])
-        return compress(TLMatrix(n, g, b))
+        return _gohberg_semencul(solve(a, _unit(n, 0)))
     e1, en = _unit(n, 0)[:, None], _unit(n, -1)[:, None]
     dense = to_dense(a)
     if not np.all(np.isfinite(dense)):
@@ -318,23 +340,114 @@ def invert(a: TLMatrix) -> TLMatrix:
     return compress(TLMatrix(n, g, b))
 
 
+def shifted_inverses(a: TLMatrix, shifts, c: float, d: float) -> list:
+    """Generators of (A - yI)^{-1} for each shift y, for a tagged A whose
+    spectrum lies in [c, d]: the _gohberg_semencul generator of
+    x_y = (A - yI)^{-1} e1, as in invert.
+
+    All shifted systems share the Krylov space of A from e1, so one
+    _lanczos run serves them.  x_y is the FOM solution V_k (T_k - yI)^{-1} e1,
+    from one eigh_tridiagonal of T_k, at the first k = _CHECK, 2 _CHECK, ...
+    whose FOM residual beta_k |e_k^T (T_k - yI)^{-1} e1| is at most
+    eps ||T_k - yI|| ||x_y||: a backward error at the rounding level.  The run
+    is kept on A and continued by later calls; which k a shift takes does
+    not depend on how many steps were kept, so a call's result does not either.
+
+    The run is made when k_y = ceil(sqrt(kappa_y) ln(2/eps) / 2), CG's
+    Chebyshev bound with kappa_y the condition number of A - yI on [c, d],
+    has 2 k_y^2 <= s n for every one of the s shifts, and it stops after
+    isqrt(s n / 2) steps.  The rule weighs k steps, matvecs and 2 k^2 n
+    flops of reorthogonalization, against s Levinson solves of O(n^2) each;
+    a run of k steps cost as much as 1.1 to 1.9 k^2 / n solves for n = 4096
+    down to 256 (numpy, one core of an x86 host).  Each shift that does not
+    converge within the run, or whose T_k - yI turns numerically singular,
+    takes its own Levinson solve, as do all shifts when a shift lies in
+    [c, d] or the bound fails: small n, high kappa.
+    """
+    if a.toeplitz is None:
+        raise DimensionError("shifted_inverses needs a tagged matrix")
+    y = np.asarray(shifts, dtype=float)
+    n, steps = a.n, min(a.n, math.isqrt(len(y) * a.n // 2))
+    cols = [None] * len(y)
+    if y.size and np.all((y < c) | (y > d)):
+        near, far = np.sort([np.abs(c - y), np.abs(d - y)], axis=0)
+        if np.max(np.ceil(0.5 * np.sqrt(far / near) * np.log(2.0 / _EPS))) <= steps:
+            cols = _fom_columns(a, y, steps)
+    return [_gohberg_semencul(solve(shift(a, yj), _unit(n, 0)) if x is None else x)
+            for x, yj in zip(cols, y)]
+
+
+def _fom_columns(a: TLMatrix, y: np.ndarray, steps: int) -> list:
+    """shifted_inverses's FOM solutions x_y of (A - yI) x = e1 from at most
+    ``steps`` steps of A's Lanczos run, None where a shift does not converge;
+    a._krylov is replaced by the run when this call continued it."""
+    basis, alpha, beta = a._krylov or (_unit(a.n, 0)[None], (), ())
+    more = None
+    cols = [None] * len(y)
+    for check in range(_CHECK, steps + 1, _CHECK):
+        while len(alpha) < check and not (beta and beta[-1] == 0.0):
+            # the module-level matvec, where a tracer can count it
+            more = more or _lanczos(lambda v: matvec(a, v), basis, alpha, beta,
+                                    rows=steps + 1)
+            basis, alpha, beta = next(more)
+        k = min(check, len(alpha))  # a zero beta ends the run: T_k is exact
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha[:k], beta[:k - 1])
+        for j in [j for j, x in enumerate(cols) if x is None]:
+            gap = theta - y[j]
+            top = np.max(np.abs(gap))
+            if np.min(np.abs(gap)) <= _EPS * top:
+                continue  # T_k - yI numerically singular: no division
+            z = s @ (s[0] / gap)
+            if beta[k - 1] * abs(z[-1]) <= _EPS * top * np.linalg.norm(z):
+                cols[j] = basis[:k].T @ z
+        if k < check or all(x is not None for x in cols):
+            break
+    with _KEEP:  # another thread may have kept a longer run meanwhile
+        if len(alpha) > len((a._krylov or ((), ()))[1]):
+            object.__setattr__(a, "_krylov", (basis, tuple(alpha), tuple(beta)))
+    return cols
+
+
+def _lanczos(apply, basis, alpha=(), beta=(), rows=16):
+    """Fully reorthogonalized Lanczos on the symmetric v -> apply(v),
+    continued after k = len(alpha) steps from the orthonormal rows v0..vk of
+    basis.  After each step it yields (basis, alpha, beta): the Lanczos
+    vectors as the leading rows of a buffer of its own (``rows`` rows to
+    start, doubled when full; ``basis`` itself is only read), the diagonal
+    alpha and the norms beta of each step's residual, T's off-diagonal and
+    then beta_k.  It stops after a zero beta."""
+    k = len(alpha)
+    buf = np.empty((max(rows, k + 2), basis.shape[1]))
+    buf[:k + 1] = basis[:k + 1]
+    alpha, beta = list(alpha), list(beta)
+    while True:
+        w = apply(buf[k])
+        alpha.append(buf[k] @ w)
+        q = buf[:k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            w = w - q.T @ (q @ w)
+        beta.append(np.linalg.norm(w))
+        if beta[-1] != 0.0:
+            if k + 2 > len(buf):
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[k + 1] = w / beta[-1]
+        k += 1
+        yield buf, alpha, beta
+        if beta[-1] == 0.0:
+            return
+
+
 def norm_est(apply, n: int) -> float:
     """Lower estimate of the 2-norm of the symmetric operator v -> apply(v) on
-    R^n: the largest |Ritz value| of fully reorthogonalized Lanczos from a fixed
-    random start, after n steps or once it moves by at most 1e-4 relative."""
+    R^n: the largest |Ritz value| of a _lanczos run from a fixed random
+    start, after n steps or once it moves by at most 1e-4 relative."""
     q = np.random.default_rng(0).standard_normal(n)
-    basis, alpha, beta, ritz = (q / np.linalg.norm(q))[None], [], [], []
-    for k in range(n):
-        w = apply(basis[-1])
-        alpha.append(basis[-1] @ w)
-        for _ in range(2):  # classical Gram-Schmidt, twice is enough
-            w = w - basis.T @ (basis @ w)
-        theta = scipy.linalg.eigvalsh_tridiagonal(alpha, beta)
+    ritz = []
+    for _, alpha, beta in _lanczos(apply, (q / np.linalg.norm(q))[None]):
+        theta = scipy.linalg.eigvalsh_tridiagonal(alpha, beta[:-1])
         ritz.append(float(np.max(np.abs(theta))))
-        beta.append(np.linalg.norm(w))
-        if beta[-1] == 0.0 or (k > 0 and abs(ritz[-1] - ritz[-2]) <= 1e-4 * ritz[-1]):
+        if len(alpha) == n or (len(ritz) > 1 and abs(ritz[-1] - ritz[-2]) <= 1e-4 * ritz[-1]):
             break
-        basis = np.vstack([basis, w / beta[-1]])
     return ritz[-1]
 
 

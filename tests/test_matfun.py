@@ -589,13 +589,13 @@ def test_tl_arithmetic_is_the_tlalgebra_module(monkeypatch):
     a = _kind_args()["tl"]
     assert a.ops is tlalgebra
     calls = {}
-    for name in ("matvec", "invert", "norm_est"):
+    for name in ("matvec", "shifted_inverses", "norm_est"):
         def counting(*args, _name=name, _fn=getattr(tlalgebra, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(tlalgebra, name, counting)
     auto_degree(inv_sqrt_spec(), a, build_geometry(-INF, 0.0, a.c, a.d), "pfd", 6)
-    assert sorted(calls) == ["invert", "matvec", "norm_est"], calls
+    assert sorted(calls) == ["matvec", "norm_est", "shifted_inverses"], calls
 
 
 def test_degree_sweep_rejects_unknown_representation_before_fitting(monkeypatch):

@@ -1,6 +1,8 @@
 """Displacement-generator Toeplitz-like arithmetic against dense oracles."""
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,9 +10,15 @@ import scipy.linalg
 
 from marktop import (DimensionError, DomainError, SingularMatrix, TLMatrix,
                      from_toeplitz, identity_tl, read_toeplitz, write_toeplitz)
+from marktop import tlalgebra
+from marktop.approx import build_geometry, optimal_nodes
+from marktop.experiments import gen_random_spd_toeplitz
+from marktop.interp import fit_interpolant
+from marktop.markov import inv_sqrt_spec, log_spec, worst_case_spec
 from marktop.tlalgebra import (add, compress, displacement, invert, matvec,
                                matvec_t, multiply, norm_est, scale, shift,
-                               shift_matrix, solve, solve_t, to_dense)
+                               shift_matrix, shifted_inverses, solve, solve_t,
+                               to_dense)
 
 
 def random_toeplitz_col(n, seed, diag=4.0):
@@ -137,6 +145,17 @@ def test_shift_matches_dense_and_keeps_tag():
     assert sh.toeplitz is not None
     assert np.allclose(to_dense(sh), to_dense(a) - 0.75 * np.eye(20), atol=1e-14)
     assert compress(sh).width <= a.width + 1
+
+
+def test_shift_by_zero_returns_the_argument():
+    # an untagged A - 0 I gains no zero generator column, which would cost
+    # one more FFT pair in every later matvec
+    a, _ = nonsymmetric_product(24, 3)
+    v = np.random.default_rng(6).standard_normal(24)
+    for x in (a, from_toeplitz(random_toeplitz_col(24, 6))):
+        sh = shift(x, 0.0)
+        assert sh is x and sh.width == x.width
+        assert np.array_equal(matvec(sh, v), matvec(x, v))
 
 
 def _assert_same_tl(x, y):
@@ -439,6 +458,135 @@ def test_compress_padded_generators():
 def test_compress_width_zero_returns_it_unchanged():
     a = TLMatrix(4, np.zeros((4, 0)), np.zeros((4, 0)))
     assert compress(a) is a
+
+
+# ----------------------------------------------------------- shifted_inverses
+
+@pytest.fixture(scope="module")
+def spd2048():
+    """First column of a random SPD Toeplitz matrix of size 2048 with
+    spectrum [1, 10]; each test builds its own TLMatrix, so none inherits
+    another's Lanczos run."""
+    return gen_random_spd_toeplitz(2048, 1.0, 10.0, 0).toeplitz
+
+
+def _pfd_poles(spec, m, c=1.0, d=10.0):
+    g = build_geometry(spec.alpha, spec.beta, c, d)
+    return fit_interpolant(spec, optimal_nodes(g, m), "pfd",
+                           interval=(g.alpha, g.beta)).poles
+
+
+def _same_generators(xs, ys):
+    return all(np.array_equal(x.G, y.G) and np.array_equal(x.B, y.B)
+               for x, y in zip(xs, ys, strict=True))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("spec", [inv_sqrt_spec(), log_spec()], ids=["inv_sqrt", "log"])
+def test_shifted_inverses_krylov_columns_match_levinson(spd2048, spec, m, levinson_calls):
+    n = len(spd2048)
+    poles = _pfd_poles(spec, m)
+    e1 = np.eye(1, n)[0]
+    a = from_toeplitz(spd2048)
+    inverses = shifted_inverses(a, poles, 1.0, 10.0)
+    assert levinson_calls == []  # every pole converged in the Lanczos run
+    cols = tlalgebra._fom_columns(from_toeplitz(spd2048), np.array(poles), n)
+    for y, x, inv in zip(poles, cols, inverses):
+        want = solve(shift(a, y), e1)
+        assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want), y
+        assert np.linalg.norm(matvec(inv, e1) - want) <= 1e-13 * np.linalg.norm(want), y
+
+
+def test_shifted_inverses_fall_back_to_levinson_for_unconverged_shifts(levinson_calls):
+    # with c = 8 above lambda_min = 1 the bound predicts 21 steps for the
+    # shift -0.01, which needs about 50: the run stops after isqrt(2 n / 2)
+    # = 22 steps and that shift alone takes Levinson; -1000 converges
+    n = 512
+    a = gen_random_spd_toeplitz(n, 1.0, 10.0, 1)
+    near, far = shifted_inverses(a, [-0.01, -1000.0], 8.0, 10.0)
+    assert levinson_calls == [(n,)]
+    assert len(a._krylov[1]) == 16
+    assert _same_generators([near], [invert(shift(a, -0.01))])
+    want = to_dense(invert(shift(a, -1000.0)))
+    assert np.max(np.abs(to_dense(far) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_shifted_inverses_keep_small_wide_problems_on_levinson(levinson_calls, monkeypatch):
+    # n = 96 on [1, 100]: the pole nearest c needs k with k^2 far above s n / 2
+    n = 96
+    a = gen_random_spd_toeplitz(n, 1.0, 100.0, 2)
+    poles = _pfd_poles(log_spec(), 8, 1.0, 100.0)
+    monkeypatch.setattr(tlalgebra, "matvec", None)  # never reached
+    got = shifted_inverses(a, poles, 1.0, 100.0)
+    assert levinson_calls == [(n,)] * len(poles)
+    assert a._krylov is None
+    assert _same_generators(got, [invert(shift(a, y)) for y in poles])
+
+
+def test_shifted_inverses_reuse_the_kept_run(spd2048, monkeypatch):
+    # the sweep's r_nu(A), then r_mu(A) on the same argument: the second
+    # pole sum's shifts converge within the kept steps and add none
+    a = from_toeplitz(spd2048)
+    shifted_inverses(a, _pfd_poles(worst_case_spec(-np.inf, 0.0), 4), 1.0, 10.0)
+    kept = a._krylov
+    monkeypatch.setattr(tlalgebra, "matvec", None)  # never reached
+    shifted_inverses(a, _pfd_poles(log_spec(), 4), 1.0, 10.0)
+    assert a._krylov is kept
+
+
+def test_shifted_inverses_do_not_depend_on_the_kept_steps(spd2048):
+    # the two poles farthest from c converge early; after a run kept for all
+    # four, a call takes each of them at the same step of the fixed check
+    # schedule as a call on a fresh argument
+    poles = _pfd_poles(log_spec(), 4)
+    far = poles[:2]
+    fresh = from_toeplitz(spd2048)
+    want = shifted_inverses(fresh, far, 1.0, 10.0)
+    longer = from_toeplitz(spd2048)
+    shifted_inverses(longer, poles, 1.0, 10.0)
+    assert len(longer._krylov[1]) > len(fresh._krylov[1])
+    assert _same_generators(shifted_inverses(longer, far, 1.0, 10.0), want)
+    assert _same_generators(shifted_inverses(fresh, far, 1.0, 10.0), want)
+
+
+def test_shifted_inverses_singular_ritz_gap_takes_levinson(levinson_calls):
+    # lying bounds: A = 2 I with [c, d] = [3, 4] and the shift 2 = theta,
+    # so T_1 - 2 I = 0; no division warns, and Levinson sees the singular A - 2 I
+    n = 2048
+    a = from_toeplitz(2.0 * np.eye(1, n)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix):
+            shifted_inverses(a, [2.0], 3.0, 4.0)
+    assert levinson_calls == [(n,)]
+    assert a._krylov[1] == (2.0,)
+
+
+def test_shifted_inverses_on_threads_sharing_an_argument():
+    # each call reads the kept run once and replaces it whole under a lock,
+    # so calls on threads that share one argument return what calls on
+    # fresh arguments do, and the longest run is kept
+    col = gen_random_spd_toeplitz(512, 1.0, 2.0, 3).toeplitz
+    sets = [[-0.01 * (j + 1) - 0.5 * i for j in range(4)] for i in range(6)]
+    fresh = [from_toeplitz(col) for _ in sets]
+    want = [shifted_inverses(a, ys, 1.0, 2.0) for a, ys in zip(fresh, sets)]
+    shared = from_toeplitz(col)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda ys: shifted_inverses(shared, ys, 1.0, 2.0),
+                                sets[::-1] * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same_generators(g, w) for g, w in zip(got, want[::-1] * 2))
+    assert len(shared._krylov[1]) == max(len(a._krylov[1]) for a in fresh)
+
+
+def test_shifted_inverses_need_a_tagged_matrix():
+    a, _ = nonsymmetric_product(8, 4)
+    with pytest.raises(DimensionError, match="tagged"):
+        shifted_inverses(a, [-1.0], 1.0, 2.0)
 
 
 # ------------------------------------------------------------------- norm_est
