@@ -48,14 +48,23 @@ def cmd_nodes(args) -> int:
     return EXIT_OK
 
 
+def _report(args, rows) -> int:
+    """Write the rows and report them; one stderr line names each
+    representation whose m = --m-max row was accepted."""
+    ex.write_rows(args.output, rows)
+    print(f"wrote {len(rows)} rows to {args.output}")
+    capped = [r.rep for r in rows if r.m == args.m_max and r.accepted]
+    if capped:
+        print(f"warning: {', '.join(capped)} accepted m = --m-max = {args.m_max}: "
+              "the cap, not the stopping rule, set the degree", file=sys.stderr)
+    return EXIT_OK
+
+
 def cmd_scan(args) -> int:
     spec = _make_spec(args)
     reps = args.reps.split(",")
-    rows = ex.scalar_scan(spec, args.c, args.d,
-                          range(args.m_min, args.m_max + 1), reps)
-    ex.write_rows(args.output, rows)
-    print(f"wrote {len(rows)} rows to {args.output}")
-    return EXIT_OK
+    return _report(args, ex.scalar_scan(spec, args.c, args.d,
+                                        range(args.m_min, args.m_max + 1), reps))
 
 
 def _load_matrix(args):
@@ -70,11 +79,9 @@ def _load_matrix(args):
 
 def cmd_matfun(args) -> int:
     spec = _make_spec(args)
-    rows = ex.run_experiment(spec, _load_matrix(args), args.case,
-                             tuple(args.reps.split(",")), args.m_max, not args.no_oracle)
-    ex.write_rows(args.output, rows)
-    print(f"wrote {len(rows)} rows to {args.output}")
-    return EXIT_OK
+    return _report(args, ex.run_experiment(spec, _load_matrix(args), args.case,
+                                           tuple(args.reps.split(",")), args.m_max,
+                                           not args.no_oracle))
 
 
 def cmd_gen(args) -> int:

@@ -195,7 +195,7 @@ def eval_rational_at_matrix(r, a: MatArg):
     ops = a.ops
     if isinstance(r, PartialFraction):
         if ops is tl and a.data.toeplitz is not None:
-            inverses = tl.shifted_inverses(a.data, r.poles, a.c, a.d)
+            inverses = tl.shifted_inverses(a.data, r.poles)
         else:
             inverses = (ops.invert(ops.shift(a.data, x)) for x in r.poles)
         return functools.reduce(ops.add, map(ops.scale, inverses, r.residuals))

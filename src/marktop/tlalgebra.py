@@ -15,9 +15,9 @@ Exactly symmetric Toeplitz matrices carry their first column (the tag) and
 Their solves run the Levinson recursion without dense n x n arrays, and an
 inverse's generator is written in O(n) from x = A^{-1} e1.  ``invert`` takes
 x from one Levinson solve; ``shifted_inverses`` takes x for all shifts of A
-from one Lanczos run of A from e1, kept on A for later calls, where that is
-cheaper, and from Levinson where it is not.  Any other inverse takes one
-dense LU.
+from one capped Lanczos run of A from e1, kept on A for later calls, and
+hands each shift the run does not converge to ``invert``.  Any other inverse
+takes one dense LU.
 """
 
 from __future__ import annotations
@@ -318,7 +318,8 @@ def invert(a: TLMatrix) -> TLMatrix:
 
     with the right-hand sides stacked on one LU of the dense A, and
     compressed afterwards.  For many shifts A - yI of one tagged A,
-    shifted_inverses can replace the Levinson solves by one Lanczos run.
+    shifted_inverses serves the shifts one Lanczos run converges and sends
+    the rest here.
     """
     n, r = a.n, a.width
     if a.toeplitz is not None:
@@ -340,40 +341,32 @@ def invert(a: TLMatrix) -> TLMatrix:
     return compress(TLMatrix(n, g, b))
 
 
-def shifted_inverses(a: TLMatrix, shifts, c: float, d: float) -> list:
-    """Generators of (A - yI)^{-1} for each shift y, for a tagged A whose
-    spectrum lies in [c, d]: the _gohberg_semencul generator of
-    x_y = (A - yI)^{-1} e1, as in invert.
+def shifted_inverses(a: TLMatrix, shifts) -> list:
+    """Generators of (A - yI)^{-1} for each real shift y of a tagged A: the
+    _gohberg_semencul generator of x_y = (A - yI)^{-1} e1, as in invert.
 
     All shifted systems share the Krylov space of A from e1, so one
     _lanczos run serves them.  x_y is the FOM solution V_k (T_k - yI)^{-1} e1,
     from one eigh_tridiagonal of T_k, at the first k = _CHECK, 2 _CHECK, ...
     whose FOM residual beta_k |e_k^T (T_k - yI)^{-1} e1| is at most
-    eps ||T_k - yI|| ||x_y||: a backward error at the rounding level.  The run
-    is kept on A and continued by later calls; which k a shift takes does
-    not depend on how many steps were kept, so a call's result does not either.
+    eps (||T_k|| + |y|) ||x_y||: a backward error at the rounding level of
+    A - yI's data, for any real y.  The run is kept on A and continued by
+    later calls; which k a shift takes does not depend on how many steps
+    were kept, so a call's result does not either.
 
-    The run is made when k_y = ceil(sqrt(kappa_y) ln(2/eps) / 2), CG's
-    Chebyshev bound with kappa_y the condition number of A - yI on [c, d],
-    has 2 k_y^2 <= s n for every one of the s shifts, and it stops after
-    isqrt(s n / 2) steps.  The rule weighs k steps, matvecs and 2 k^2 n
-    flops of reorthogonalization, against s Levinson solves of O(n^2) each;
-    a run of k steps cost as much as 1.1 to 1.9 k^2 / n solves for n = 4096
-    down to 256 (numpy, one core of an x86 host).  Each shift that does not
-    converge within the run, or whose T_k - yI turns numerically singular,
-    takes its own Levinson solve, as do all shifts when a shift lies in
-    [c, d] or the bound fails: small n, high kappa.
+    The run stops after isqrt(s n / 2) steps for s shifts, where its k
+    matvecs and 2 k^2 n flops of reorthogonalization cost about the s
+    Levinson solves it replaces (a run of k steps cost as much as 1.1 to
+    1.9 k^2 / n solves for n = 4096 down to 256: numpy, one core of an x86
+    host), and it holds up to that many rows of n floats.  Each shift not
+    converged by then, or whose T_k - yI is numerically singular on that
+    scale, takes invert(shift(a, y)).
     """
     if a.toeplitz is None:
         raise DimensionError("shifted_inverses needs a tagged matrix")
     y = np.asarray(shifts, dtype=float)
-    n, steps = a.n, min(a.n, math.isqrt(len(y) * a.n // 2))
-    cols = [None] * len(y)
-    if y.size and np.all((y < c) | (y > d)):
-        near, far = np.sort([np.abs(c - y), np.abs(d - y)], axis=0)
-        if np.max(np.ceil(0.5 * np.sqrt(far / near) * np.log(2.0 / _EPS))) <= steps:
-            cols = _fom_columns(a, y, steps)
-    return [_gohberg_semencul(solve(shift(a, yj), _unit(n, 0)) if x is None else x)
+    cols = _fom_columns(a, y, min(a.n, math.isqrt(len(y) * a.n // 2)))
+    return [invert(shift(a, yj)) if x is None else _gohberg_semencul(x)
             for x, yj in zip(cols, y)]
 
 
@@ -394,7 +387,9 @@ def _fom_columns(a: TLMatrix, y: np.ndarray, steps: int) -> list:
         theta, s = scipy.linalg.eigh_tridiagonal(alpha[:k], beta[:k - 1])
         for j in [j for j, x in enumerate(cols) if x is None]:
             gap = theta - y[j]
-            top = np.max(np.abs(gap))
+            # ||T_k|| + |y|, the scale of the matvecs' rounding and of A - yI's
+            # data; it is ||T_k - yI|| for y <= 0 < theta
+            top = np.max(np.abs(theta)) + abs(y[j])
             if np.min(np.abs(gap)) <= _EPS * top:
                 continue  # T_k - yI numerically singular: no division
             z = s @ (s[0] / gap)

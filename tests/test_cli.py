@@ -121,6 +121,25 @@ def test_scan_csv(tmp_path, capsys):
     assert min(errs) <= 1e-10  # fast convergence on an easy interval
 
 
+@pytest.mark.parametrize("command, capped", [
+    (["matfun", "--matrix", "laplacian1d", "--n", "64", "--reps", "pfd",
+      "--m-max", "4", "--no-oracle"], "pfd accepted m = --m-max = 4"),
+    (["scan", "--c", "1e-3", "--d", "1", "--m-max", "3", "--reps", "pfd,thiele"],
+     "pfd, thiele accepted m = --m-max = 3"),
+    (["scan", "--c", "0.5", "--d", "1", "--m-max", "6", "--reps", "pfd"], None),
+], ids=["matfun-capped", "scan-capped", "scan-stopped"])
+def test_degree_set_by_the_cap_is_reported_on_stderr(command, capped, tmp_path, capsys):
+    # an accepted m = --m-max row means the stopping rule never stopped the
+    # sweep: one stderr line says so, and the exit code stays 0
+    assert main([*command, "--output", str(tmp_path / "out.csv")]) == EXIT_OK
+    err = capsys.readouterr().err
+    if capped is None:
+        assert "--m-max" not in err
+    else:
+        assert err.count("\n") == 1
+        assert f"warning: {capped}: the cap, not the stopping rule, set the degree" in err
+
+
 @pytest.mark.parametrize("command, error", [
     (["scan", "--c", "0.5", "--d", "1", "--m-max", "3", "--reps", "pfd,foo"],
      "unknown representation 'foo'"),

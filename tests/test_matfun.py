@@ -14,7 +14,7 @@ from marktop import (Barycentric, BoundInvalid, DegreeUnavailable, DimensionErro
                      frac_power, from_toeplitz, inv_sqrt_spec, log_spec,
                      log_via_scaling, loewner_pfd, optimal_nodes, power_spec, residual_sqrt,
                      sqrt_db_newton, ThieleCF, tl_arg, worst_case_spec)
-from marktop import matfun
+from marktop import matfun, tlalgebra
 from marktop.experiments import (dense_f_oracle, gen_random_spd_toeplitz,
                                  run_experiment)
 from marktop.matfun import degree_sweep, spectral_norm
@@ -960,20 +960,30 @@ _TAGGED_CASES = {"log": (log_via_scaling, log_spec(), np.log),
 
 @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
 @pytest.mark.parametrize("case", list(_TAGGED_CASES))
-def test_tagged_drivers_stay_tagged(case, kappa, levinson_calls, dense_calls):
+def test_tagged_drivers_stay_tagged(case, kappa, levinson_calls, dense_calls, monkeypatch):
     # ell = 0 and f(A) as one pole sum plus a constant: no Newton root, no
-    # densification, and the final f(A) costs one Levinson solve per pole
+    # densification, and the final f(A) passes its m poles to one
+    # shifted_inverses call, which makes at most one Levinson solve per pole
     driver, spec, f = _TAGGED_CASES[case]
+    calls = []  # (shifts, Levinson solves) of each shifted_inverses call
+    shifted_inverses = tlalgebra.shifted_inverses
+
+    def counting(a, shifts):
+        before = len(levinson_calls)
+        out = shifted_inverses(a, shifts)
+        calls.append((len(shifts), len(levinson_calls) - before))
+        return out
+
+    monkeypatch.setattr(tlalgebra, "shifted_inverses", counting)
     t = gen_random_spd_toeplitz(256, 1.0, kappa, 0)
     a = tl_arg(t, 1.0, kappa)
     res = driver(a)
     assert res.scaling[0] == 0
     assert dense_calls == []
-    total = len(levinson_calls)
-    levinson_calls.clear()
+    shifts, solves = calls[-1]
+    assert shifts == res.m and solves <= res.m
     g = build_geometry(spec.alpha, spec.beta, 1.0, kappa)
     assert matfun._accepted_fit(spec, a, g, "pfd", 20).m == res.m
-    assert total - len(levinson_calls) == res.m
     w, v = np.linalg.eigh(scipy.linalg.toeplitz(t.toeplitz))
     want = (v * f(w)) @ v.T
     err = np.linalg.norm(to_dense(res.approximation.data) - want, 2) / np.linalg.norm(want, 2)

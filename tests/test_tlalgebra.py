@@ -7,10 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marktop import (DimensionError, DomainError, SingularMatrix, TLMatrix,
                      from_toeplitz, identity_tl, read_toeplitz, write_toeplitz)
-from marktop import tlalgebra
+from marktop import matfun, tlalgebra
 from marktop.approx import build_geometry, optimal_nodes
 from marktop.experiments import gen_random_spd_toeplitz
 from marktop.interp import fit_interpolant
@@ -488,7 +490,7 @@ def test_shifted_inverses_krylov_columns_match_levinson(spd2048, spec, m, levins
     poles = _pfd_poles(spec, m)
     e1 = np.eye(1, n)[0]
     a = from_toeplitz(spd2048)
-    inverses = shifted_inverses(a, poles, 1.0, 10.0)
+    inverses = shifted_inverses(a, poles)
     assert levinson_calls == []  # every pole converged in the Lanczos run
     cols = tlalgebra._fom_columns(from_toeplitz(spd2048), np.array(poles), n)
     for y, x, inv in zip(poles, cols, inverses):
@@ -498,12 +500,12 @@ def test_shifted_inverses_krylov_columns_match_levinson(spd2048, spec, m, levins
 
 
 def test_shifted_inverses_fall_back_to_levinson_for_unconverged_shifts(levinson_calls):
-    # with c = 8 above lambda_min = 1 the bound predicts 21 steps for the
-    # shift -0.01, which needs about 50: the run stops after isqrt(2 n / 2)
-    # = 22 steps and that shift alone takes Levinson; -1000 converges
+    # the shift -0.01 needs about 50 steps: the run stops after
+    # isqrt(2 n / 2) = 22 steps, checked at 8 and 16, and that shift alone
+    # takes Levinson; -1000 converges
     n = 512
     a = gen_random_spd_toeplitz(n, 1.0, 10.0, 1)
-    near, far = shifted_inverses(a, [-0.01, -1000.0], 8.0, 10.0)
+    near, far = shifted_inverses(a, [-0.01, -1000.0])
     assert levinson_calls == [(n,)]
     assert len(a._krylov[1]) == 16
     assert _same_generators([near], [invert(shift(a, -0.01))])
@@ -511,15 +513,16 @@ def test_shifted_inverses_fall_back_to_levinson_for_unconverged_shifts(levinson_
     assert np.max(np.abs(to_dense(far) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_shifted_inverses_keep_small_wide_problems_on_levinson(levinson_calls, monkeypatch):
-    # n = 96 on [1, 100]: the pole nearest c needs k with k^2 far above s n / 2
+def test_shifted_inverses_keep_small_wide_problems_on_levinson(levinson_calls):
+    # n = 96 on [1, 100] with the 4 poles of tl-fallback's log: the run
+    # stops after isqrt(4 n / 2) = 13 steps, checked once at 8, before any
+    # pole converges, so each takes invert
     n = 96
     a = gen_random_spd_toeplitz(n, 1.0, 100.0, 2)
-    poles = _pfd_poles(log_spec(), 8, 1.0, 100.0)
-    monkeypatch.setattr(tlalgebra, "matvec", None)  # never reached
-    got = shifted_inverses(a, poles, 1.0, 100.0)
+    poles = _pfd_poles(log_spec(), 4, 1.0, 100.0)
+    got = shifted_inverses(a, poles)
     assert levinson_calls == [(n,)] * len(poles)
-    assert a._krylov is None
+    assert len(a._krylov[1]) == 8
     assert _same_generators(got, [invert(shift(a, y)) for y in poles])
 
 
@@ -527,10 +530,10 @@ def test_shifted_inverses_reuse_the_kept_run(spd2048, monkeypatch):
     # the sweep's r_nu(A), then r_mu(A) on the same argument: the second
     # pole sum's shifts converge within the kept steps and add none
     a = from_toeplitz(spd2048)
-    shifted_inverses(a, _pfd_poles(worst_case_spec(-np.inf, 0.0), 4), 1.0, 10.0)
+    shifted_inverses(a, _pfd_poles(worst_case_spec(-np.inf, 0.0), 4))
     kept = a._krylov
     monkeypatch.setattr(tlalgebra, "matvec", None)  # never reached
-    shifted_inverses(a, _pfd_poles(log_spec(), 4), 1.0, 10.0)
+    shifted_inverses(a, _pfd_poles(log_spec(), 4))
     assert a._krylov is kept
 
 
@@ -541,23 +544,23 @@ def test_shifted_inverses_do_not_depend_on_the_kept_steps(spd2048):
     poles = _pfd_poles(log_spec(), 4)
     far = poles[:2]
     fresh = from_toeplitz(spd2048)
-    want = shifted_inverses(fresh, far, 1.0, 10.0)
+    want = shifted_inverses(fresh, far)
     longer = from_toeplitz(spd2048)
-    shifted_inverses(longer, poles, 1.0, 10.0)
+    shifted_inverses(longer, poles)
     assert len(longer._krylov[1]) > len(fresh._krylov[1])
-    assert _same_generators(shifted_inverses(longer, far, 1.0, 10.0), want)
-    assert _same_generators(shifted_inverses(fresh, far, 1.0, 10.0), want)
+    assert _same_generators(shifted_inverses(longer, far), want)
+    assert _same_generators(shifted_inverses(fresh, far), want)
 
 
 def test_shifted_inverses_singular_ritz_gap_takes_levinson(levinson_calls):
-    # lying bounds: A = 2 I with [c, d] = [3, 4] and the shift 2 = theta,
-    # so T_1 - 2 I = 0; no division warns, and Levinson sees the singular A - 2 I
+    # A = 2 I and the shift 2 = theta, so T_1 - 2 I = 0; no division warns,
+    # and Levinson sees the singular A - 2 I
     n = 2048
     a = from_toeplitz(2.0 * np.eye(1, n)[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrix):
-            shifted_inverses(a, [2.0], 3.0, 4.0)
+            shifted_inverses(a, [2.0])
     assert levinson_calls == [(n,)]
     assert a._krylov[1] == (2.0,)
 
@@ -569,13 +572,13 @@ def test_shifted_inverses_on_threads_sharing_an_argument():
     col = gen_random_spd_toeplitz(512, 1.0, 2.0, 3).toeplitz
     sets = [[-0.01 * (j + 1) - 0.5 * i for j in range(4)] for i in range(6)]
     fresh = [from_toeplitz(col) for _ in sets]
-    want = [shifted_inverses(a, ys, 1.0, 2.0) for a, ys in zip(fresh, sets)]
+    want = [shifted_inverses(a, ys) for a, ys in zip(fresh, sets)]
     shared = from_toeplitz(col)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            got = list(pool.map(lambda ys: shifted_inverses(shared, ys, 1.0, 2.0),
+            got = list(pool.map(lambda ys: shifted_inverses(shared, ys),
                                 sets[::-1] * 2, timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -583,10 +586,74 @@ def test_shifted_inverses_on_threads_sharing_an_argument():
     assert len(shared._krylov[1]) == max(len(a._krylov[1]) for a in fresh)
 
 
+def test_shifted_inverses_serve_the_log_poles_at_the_start_degree(levinson_calls):
+    # n = 1024 on [1, 100]: the 9 poles of the log fit at its start degree,
+    # whose CG bound for a spectrum filling [1, 100] predicts more steps than
+    # isqrt(9 n / 2) = 67; the run, capped there, serves most of them
+    n = 1024
+    a = gen_random_spd_toeplitz(n, 1.0, 100.0, 0)
+    spec = log_spec()
+    g = build_geometry(spec.alpha, spec.beta, 1.0, 100.0)
+    poles = _pfd_poles(spec, matfun._start_degree(g, "pfd", n, 20), 1.0, 100.0)
+    got = shifted_inverses(a, poles)
+    assert len(levinson_calls) < len(poles)
+    for y, inv in zip(poles, got):
+        want = to_dense(invert(shift(a, y)))
+        assert np.max(np.abs(to_dense(inv) - want)) <= 1e-12 * np.max(np.abs(want)), y
+
+
+@st.composite
+def _shifted_problems(draw):
+    """(first column, eigenvalues, shifts) of a tagged SPD A with n <= 256
+    and shifts below, inside and above its spectrum, and 0: a random A with
+    spectrum [1, kappa] and shifts y whose cond(A - yI) = (||A|| + |y|) /
+    dist(y, spectrum) is at most 1e8, or t I with t itself among the shifts."""
+    n = draw(st.integers(2, 256))
+    ts = draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        t = draw(st.floats(0.1, 10.0))
+        return t * np.eye(1, n)[0], np.full(n, t), [0.0, t] + [t + u for u in ts]
+    col = gen_random_spd_toeplitz(n, 1.0, 10.0 ** draw(st.floats(0.1, 6.0)),
+                                  draw(st.integers(0, 2 ** 16))).toeplitz
+    w = np.linalg.eigvalsh(scipy.linalg.toeplitz(col))
+    ys = [0.0] + [w[0] + t * (w[-1] - w[0]) for t in ts]
+    return col, w, [y for y in ys if np.min(np.abs(w - y)) * 1e8 > w[-1] + abs(y)]
+
+
+def _inverse_or_none(a, y):
+    try:
+        return invert(shift(a, y))
+    except SingularMatrix:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(_shifted_problems())
+def test_shifted_inverses_match_invert_property(problem):
+    # on a fresh argument and on one whose kept run is longer (continued to
+    # n steps for the midpoint of the spectrum): each (A - yI)^-1 within
+    # n cond(A - yI) eps of invert's, or both raise SingularMatrix
+    col, w, ys = problem
+    n = len(col)
+    wants = [_inverse_or_none(from_toeplitz(col), y) for y in ys]
+    longer = from_toeplitz(col)
+    tlalgebra._fom_columns(longer, np.array([0.5 * (w[0] + w[-1])]), n)
+    for a in (from_toeplitz(col), longer):
+        if any(want is None for want in wants):
+            with pytest.raises(SingularMatrix):
+                shifted_inverses(a, ys)
+            continue
+        for y, got, want in zip(ys, shifted_inverses(a, ys), wants, strict=True):
+            cond = (w[-1] + abs(y)) / np.min(np.abs(w - y))
+            want = to_dense(want)
+            err = np.max(np.abs(to_dense(got) - want)) / np.max(np.abs(want))
+            assert err <= n * cond * np.finfo(float).eps, (y, err, cond)
+
+
 def test_shifted_inverses_need_a_tagged_matrix():
     a, _ = nonsymmetric_product(8, 4)
     with pytest.raises(DimensionError, match="tagged"):
-        shifted_inverses(a, [-1.0], 1.0, 2.0)
+        shifted_inverses(a, [-1.0])
 
 
 # ------------------------------------------------------------------- norm_est
