@@ -113,7 +113,7 @@ class Ops(NamedTuple):
 
     shift: Callable      # (x, z) -> x - z I
     scale: Callable      # (x, alpha) -> alpha x
-    add: Callable        # (x, y) -> x + y
+    add: Callable        # (x1, ..., xk) -> x1 + ... + xk, summed in order
     multiply: Callable   # (x, y) -> x y
     invert: Callable     # x -> x^{-1}
     deviation: Callable  # [F1, ..., Fk] -> ||I - F1 ... Fk||_2
@@ -151,7 +151,7 @@ def _dense_inv(x):
 
 _DENSE = Ops(shift=lambda x, z: x - z * np.eye(len(x)),
              scale=lambda x, alpha: alpha * x,
-             add=lambda x, y: x + y,
+             add=lambda *xs: functools.reduce(np.add, xs),
              multiply=lambda x, y: x @ y,
              invert=_dense_inv,
              deviation=lambda fs: spectral_norm(
@@ -160,7 +160,7 @@ _DENSE = Ops(shift=lambda x, z: x - z * np.eye(len(x)),
 
 _DIAGONAL = Ops(shift=lambda x, z: x - z,
                 scale=lambda x, alpha: alpha * x,
-                add=lambda x, y: x + y,
+                add=lambda *xs: functools.reduce(np.add, xs),
                 multiply=lambda x, y: x * y,
                 invert=lambda x: 1.0 / x,
                 deviation=lambda fs: float(np.max(np.abs(
@@ -198,7 +198,8 @@ def eval_rational_at_matrix(r, a: MatArg):
             inverses = tl.shifted_inverses(a.data, r.poles)
         else:
             inverses = (ops.invert(ops.shift(a.data, x)) for x in r.poles)
-        return functools.reduce(ops.add, map(ops.scale, inverses, r.residuals))
+        terms = map(ops.scale, inverses, r.residuals)  # dense: two held at a time
+        return ops.add(*terms) if ops is tl else functools.reduce(ops.add, terms)
     # the shift-built levels below start from two nodes
     if len(r.params if isinstance(r, ThieleCF) else r.support) < 2:
         raise DimensionError("a barycentric or Thiele r(A) needs two or more nodes")

@@ -8,16 +8,16 @@ where Z_theta is the circulant-type down-shift (ones on the subdiagonal,
 theta in the top-right corner), Z1 = Z_{+1} and Zm1 = Z_{-1}.  Toeplitz
 matrices have r <= 2 and every operation below tracks generators only;
 matrix-vector products run in O(r n log n) through FFTs of circulant and
-skew-circulant factors.
+skew-circulant factors, two generator columns per complex transform.
 
 Exactly symmetric Toeplitz matrices carry their first column (the tag) and
 ``from_toeplitz``'s width-2 generator, rebuilt after sums, shifts and scalings.
-Their solves run the Levinson recursion without dense n x n arrays, and an
-inverse's generator is written in O(n) from x = A^{-1} e1.  ``invert`` takes
-x from one Levinson solve; ``shifted_inverses`` takes x for all shifts of A
-from one capped Lanczos run of A from e1, kept on A for later calls, and
-hands each shift the run does not converge to ``invert``.  Any other inverse
-takes one dense LU.
+Their products embed A in a circulant of order 2n, their solves run the
+Levinson recursion without dense n x n arrays, and an inverse's generator is
+written in O(n) from x = A^{-1} e1.  ``invert`` takes x from one Levinson
+solve; ``shifted_inverses`` takes x for all shifts of A from one capped
+Lanczos run of A from e1, kept on A for later calls, and hands each shift the
+run does not converge to ``invert``.  Any other inverse takes one dense LU.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ def displacement(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FFT kernel: A = (1/2) sum_k C1(g_k) Cm1(J b_k), with C1(v) the circulant and
+# FFT kernels.  A tagged A is the leading block of the circulant of order 2n
+# with first column emb = [t, 0, t_{n-1} ... t_1]; any other
+# A = (1/2) sum_k C1(g_k) Cm1(J b_k), with C1(v) the circulant and
 # Cm1(v) = D^* C1(d v) D the skew-circulant of first column v, D = diag(d)
 # ---------------------------------------------------------------------------
 
@@ -67,37 +69,44 @@ def _twiddle(n: int) -> np.ndarray:
 
 
 def _forward(y, skew):
-    """Spectra of the rows of y in the circulant (rfft) or skew (fft of
-    d y) basis."""
-    if skew:
-        return np.fft.fft(_twiddle(y.shape[-1]) * y)
-    return np.fft.rfft(y)
+    """Spectra of the rows of y: fft(y), or fft(d y) in the skew basis."""
+    return np.fft.fft(_twiddle(y.shape[-1]) * y if skew else y)
 
 
-def _inverse(s, skew, n):
-    if skew:
-        return (np.conj(_twiddle(n)) * np.fft.ifft(s)).real
-    return np.fft.irfft(s, n)
+def _inverse(s, skew):
+    return np.conj(_twiddle(s.shape[-1])) * np.fft.ifft(s) if skew else np.fft.ifft(s)
 
 
-def _two_stage(x, s1, skew1, s2, skew2):
-    """(1/2) sum_k S2_k S1_k x for the factors with row spectra s1[k], s2[k]
-    of shape (r, .); x is (n,) or (n, p).  Each stage is one batched FFT
-    over all generator columns, and the sum over k precedes the last inverse
-    FFT: 2r + 2 transforms per column of x, in blocks that keep the work
-    array at O(n max(r, p))."""
-    x = np.asarray(x, dtype=float)
-    xm = x[:, None] if x.ndim == 1 else x
-    n, p = xm.shape
+def _paired(x, s1, skew1, s2, skew2):
+    """sum_k S2_k S1_k x, x (n, p), for real factors with spectra paired as
+    s1[j] = spec(S1_2j) + i spec(S1_2j+1), s2[j] = spec(S2_2j) - i spec(S2_2j+1):
+    stage one gives w_2j + i w_2j+1, the real part of stage two their sum.  r + 2
+    FFTs per column (r even), in blocks keeping the work at O(n max(r, p))."""
+    n, p = x.shape
     out = np.empty((n, p))
-    blk = max(1, p // max(s1.shape[0], 1))
+    blk = max(1, p // max(len(s1), 1))
     for j in range(0, p, blk):
-        fx = _forward(xm[:, j:j + blk].T, skew1)             # (b, m1)
-        w = _inverse(s1[:, None, :] * fx, skew1, n)           # (r, b, n)
-        s = np.einsum("km,kbm->bm", s2, _forward(w, skew2))   # (b, m2)
-        out[:, j:j + blk] = _inverse(s, skew2, n).T
-    out *= 0.5
-    return out[:, 0] if x.ndim == 1 else out
+        w = _inverse(s1[:, None, :] * _forward(x[:, j:j + blk].T, skew1), skew1)
+        s = np.einsum("hm,hbm->bm", s2, _forward(w, skew2))   # (b, n)
+        out[:, j:j + blk] = _inverse(s, skew2).real.T
+    return out
+
+
+def _product(a, x, transpose):
+    """A @ x, or A^T @ x, for x of shape (n,) or (n, p)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != a.n:
+        raise DimensionError(f"right-hand side of shape {x.shape} for n={a.n}")
+    if a.toeplitz is not None:  # symmetric, so A^T = A
+        spec = a._embedded if x.ndim == 1 else a._embedded[:, None]
+        return np.fft.irfft(spec * np.fft.rfft(x, 2 * a.n, axis=0), 2 * a.n, axis=0)[:a.n]
+    sb, sg = a._pairs
+    # for real v, C1(v)^T has the spectrum conj(fft(v)) and Cm1(v)^T the
+    # twiddled spectrum conj(fft(d v)); conjugation swaps the pairs' signs
+    xm = x.reshape(a.n, -1)
+    out = (_paired(xm, np.conj(sg), False, np.conj(sb), True) if transpose
+           else _paired(xm, sb, True, sg, False))
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +141,28 @@ class TLMatrix:
     def width(self) -> int:
         return self.G.shape[1]
 
-    # Spectra of the kernel's factors, computed on first use.  ``replace``
+    # Spectra of the kernels' factors, computed on first use.  ``replace``
     # builds a new object, so results of scale/compress start uncached.
     @functools.cached_property
-    def _spec_g(self) -> np.ndarray:
-        """rfft of each g_k: the spectra of C1(g_k), shape (r, n//2 + 1)."""
-        return _forward(self.G.T, skew=False)
+    def _embedded(self) -> np.ndarray:
+        """rfft(emb) of a tagged A, shape (n + 1,), real as emb is symmetric."""
+        t = self.toeplitz
+        return np.fft.rfft(np.concatenate([t, [0.0], t[:0:-1]])).real
 
     @functools.cached_property
-    def _spec_b(self) -> np.ndarray:
-        """fft(d J b_k): the twiddled spectra of Cm1(J b_k), shape (r, n)."""
-        return _forward(self.B[::-1].T, skew=True)
+    def _pairs(self) -> tuple:
+        """_paired's spectra fft(d J b_2j) + i fft(d J b_2j+1) and fft(g_2j)
+        - i fft(g_2j+1), with a zero column for odd r and A's factor 1/2 on
+        the g_k.  First g_k, b_k take 2^e_k, 2^-e_k, bringing ||b_k|| /
+        ||g_k|| within 2x of column 0's: a pair's cross terms then add the
+        least rounding, and scaling G or B by 2^j scales products exactly."""
+        g, b = (np.pad(v, ((0, 0), (0, self.width % 2))) for v in (self.G, self.B[::-1]))
+        with np.errstate(all="ignore"):  # a zero or nonfinite ratio keeps e_k = 0
+            rho = np.linalg.norm(b, axis=0) / np.linalg.norm(g, axis=0)
+            e = np.nan_to_num(np.rint(0.5 * np.log2(rho / rho[:1])), posinf=0, neginf=0)
+        e = e.astype(int)
+        sb, sg = _forward(np.ldexp(b, -e).T, True), _forward(np.ldexp(g, e - 1).T, False)
+        return sb[0::2] + 1j * sb[1::2], sg[0::2] - 1j * sg[1::2]
 
 
 def _require_finite(name: str, v: np.ndarray):
@@ -186,14 +206,15 @@ def identity_tl(n: int) -> TLMatrix:
 
 
 def matvec(a: TLMatrix, x):
-    """A @ x from generators: A = (1/2) sum_k C1(g_k) Cm1(J b_k)."""
-    return _two_stage(x, a._spec_b, True, a._spec_g, False)
+    """A @ x, x of shape (n,) or (n, p): irfft(rfft(emb) rfft(x, 2n))[:n] for
+    a tagged A, else _paired's r + 2 complex FFTs of length n per column."""
+    return _product(a, x, transpose=False)
 
 
 def matvec_t(a: TLMatrix, x):
-    """A^T @ x from the spectra of A: for real v, C1(v)^T has the spectrum
-    conj(fft(v)) and Cm1(v)^T the twiddled spectrum conj(fft(d v))."""
-    return _two_stage(x, np.conj(a._spec_g), False, np.conj(a._spec_b), True)
+    """A^T @ x, through the same kernels as matvec (bitwise matvec for a
+    tagged A)."""
+    return _product(a, x, transpose=True)
 
 
 def to_dense(a: TLMatrix) -> np.ndarray:
@@ -213,13 +234,16 @@ def to_dense(a: TLMatrix) -> np.ndarray:
     return out
 
 
-def add(a: TLMatrix, b: TLMatrix) -> TLMatrix:
-    """A + B, rebuilt from the summed column if both are tagged, else compressed."""
-    if a.n != b.n:
-        raise DimensionError(f"size mismatch {a.n} vs {b.n}")
-    if a.toeplitz is not None and b.toeplitz is not None:
-        return from_toeplitz(a.toeplitz + b.toeplitz)
-    return compress(TLMatrix(a.n, np.hstack([a.G, b.G]), np.hstack([a.B, b.B])))
+def add(*terms: TLMatrix) -> TLMatrix:
+    """A_1 + ... + A_k: rebuilt from the column summed in order if every term
+    is tagged, else from all terms' generators, stacked and compressed once."""
+    n = terms[0].n
+    if bad := [t.n for t in terms if t.n != n]:
+        raise DimensionError(f"size mismatch {n} vs {bad[0]}")
+    if all(t.toeplitz is not None for t in terms):
+        return from_toeplitz(functools.reduce(np.add, [t.toeplitz for t in terms]))
+    return compress(TLMatrix(n, np.hstack([t.G for t in terms]),
+                             np.hstack([t.B for t in terms])))
 
 
 def scale(a: TLMatrix, alpha: float) -> TLMatrix:

@@ -13,7 +13,7 @@ from marktop.experiments import (ORACLE_MAX_N, dense_f_oracle, laplacian1d,
 from marktop.interp import MAX_PFD_DEGREE, barycentric_fit, loewner_pfd
 from marktop.matfun import degree_sweep
 from marktop.tlalgebra import add as tl_add
-from marktop.tlalgebra import invert, multiply, read_toeplitz
+from marktop.tlalgebra import invert, matvec, matvec_t, multiply, read_toeplitz
 
 
 def _short_file(tmp_path):
@@ -111,6 +111,19 @@ def _short_file(tmp_path):
                  DimensionError, "size mismatch 2 vs 1", id="tl-add-size-mismatch"),
     pytest.param(lambda tmp: multiply(from_toeplitz([2.0, 1.0]), from_toeplitz([2.0])),
                  DimensionError, "size mismatch 2 vs 1", id="tl-multiply-size-mismatch"),
+    pytest.param(lambda tmp: matvec(from_toeplitz([3.0, 1.0, 0.5, 0.1]), np.ones(5)),
+                 DimensionError, r"right-hand side of shape \(5,\) for n=4",
+                 id="matvec-tagged-1d-long"),
+    pytest.param(lambda tmp: matvec_t(from_toeplitz([3.0, 1.0, 0.5, 0.1]), np.ones((3, 2))),
+                 DimensionError, r"right-hand side of shape \(3, 2\) for n=4",
+                 id="matvec-t-tagged-2d-short"),
+    pytest.param(lambda tmp: matvec(TLMatrix(4, np.ones((4, 3)), np.ones((4, 3))), np.ones(3)),
+                 DimensionError, r"right-hand side of shape \(3,\) for n=4",
+                 id="matvec-untagged-1d-short"),
+    pytest.param(lambda tmp: matvec_t(TLMatrix(4, np.ones((4, 3)), np.ones((4, 3))),
+                                      np.ones((5, 2))),
+                 DimensionError, r"right-hand side of shape \(5, 2\) for n=4",
+                 id="matvec-t-untagged-2d-long"),
     pytest.param(lambda tmp: TLMatrix(3, np.ones((3, 2)), np.ones((3, 1))),
                  DimensionError, r"generator shapes \(3, 2\)/\(3, 1\) for n=3",
                  id="tlmatrix-generator-shapes"),

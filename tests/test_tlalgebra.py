@@ -178,6 +178,37 @@ def test_tagged_shift_and_sum_are_built_from_their_column():
     _assert_same_tl(scale(from_toeplitz(col), 0.3), from_toeplitz(0.3 * col))
 
 
+def test_add_of_three_untagged_terms_matches_their_dense_sum():
+    terms = [random_generators(24, r, 40 + r) for r in (1, 2, 3)]
+    got = add(*terms)
+    want = sum(explicit_dense(t.G, t.B) for t in terms)
+    assert got.toeplitz is None and got.width <= 6
+    assert np.allclose(to_dense(got), want, rtol=0, atol=1e-13 * np.linalg.norm(want))
+
+
+def test_add_of_tagged_terms_is_the_chained_sum_bitwise():
+    a, b, c = (from_toeplitz(random_toeplitz_col(20, seed)) for seed in (44, 45, 46))
+    _assert_same_tl(add(a, b, c), add(add(a, b), c))
+    _assert_same_tl(add(a), from_toeplitz(a.toeplitz))
+
+
+def test_add_size_mismatch_names_the_first_odd_term():
+    with pytest.raises(DimensionError, match="size mismatch 2 vs 1"):
+        add(from_toeplitz([2.0, 1.0]), from_toeplitz([3.0, 0.5]), from_toeplitz([2.0]))
+
+
+def test_tagged_pole_sum_compresses_once_after_the_per_pole_inverses(compress_widths):
+    # each pole's Gohberg-Semencul generator (width 4) is compressed alone,
+    # then the m scaled inverses are stacked and compressed once
+    n, m = 512, 6
+    g = build_geometry(-np.inf, 0.0, 1.0, 100.0)
+    r = fit_interpolant(inv_sqrt_spec(), optimal_nodes(g, m), "pfd")
+    a = matfun.tl_arg(gen_random_spd_toeplitz(n, 1.0, 100.0, 0), 1.0, 100.0)
+    out = matfun.eval_rational_at_matrix(r, a)
+    assert compress_widths[:m] == [4] * m and len(compress_widths) == m + 1
+    assert out.toeplitz is None and out.width <= compress_widths[-1] <= 2 * m
+
+
 # ------------------------------------------------------------------- multiply
 
 def test_multiply_by_identity():
@@ -337,6 +368,38 @@ def test_matvec_block_right_hand_sides(p):
     # each column agrees with its own single-vector product
     for j in range(p):
         assert np.allclose(matvec(a, x)[:, j], matvec(a, x[:, j]), rtol=0, atol=1e-14)
+
+
+@st.composite
+def _kernel_problems(draw):
+    """(A, dense A, x): a tagged A, or generators of width 0 to 9 whose
+    columns span six orders of magnitude, n from 1 to 70, and x of shape (n,)
+    or (n, p) with p up to 2 width + 1."""
+    n, seed = draw(st.integers(1, 70)), draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        col = rng.standard_normal(n)
+        a, want = from_toeplitz(col), scipy.linalg.toeplitz(col)
+    else:
+        r = draw(st.integers(0, 9))
+        g = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3.0, 3.0, r)
+        a = TLMatrix(n, g, rng.standard_normal((n, r)))
+        want = explicit_dense(a.G, a.B)
+    p = draw(st.none() | st.integers(1, 2 * a.width + 1))
+    return a, want, rng.standard_normal(n if p is None else (n, p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(_kernel_problems())
+def test_matvec_kernels_match_dense_property(problem):
+    a, want, x = problem
+    tol = 1e-14 * a.n * np.linalg.norm(want, 2) * np.linalg.norm(x)
+    got, got_t = matvec(a, x), matvec_t(a, x)
+    assert got.shape == got_t.shape == x.shape
+    assert np.linalg.norm(got - want @ x) <= tol
+    assert np.linalg.norm(got_t - want.T @ x) <= tol
+    if a.toeplitz is not None:
+        assert np.array_equal(got_t, got)
 
 
 def test_scale_after_matvec_does_not_reuse_spectra():
